@@ -80,6 +80,7 @@ from .verify import (
     verify_linear_regression,
     verify_mixed_cumulants,
     verify_moment_recursion,
+    verify_orthogonality,
     verify_quadratic_variance,
 )
 

@@ -15,7 +15,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 # let argparse accept negative rationals ("-3/10") and complex literals
@@ -32,16 +31,6 @@ from .errors import FreeMeixnerError
 from .meixner import LevyParams, MeixnerLaw, MeixnerParams, MeixnerType
 
 MAX_SEQUENCE_ORDER = 24
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed invocation: command, output format, exact-mode flag, options."""
-
-    command: str
-    fmt: str
-    exact: bool
-    options: dict
 
 
 def _scalar(text: str):
@@ -75,12 +64,6 @@ def _cell(v):
     if isinstance(v, (list, tuple)):
         return [_cell(x) for x in v]
     return v
-
-
-def _params(p: MeixnerParams):
-    if p.b < -1:
-        raise FreeMeixnerError(f"b must be >= -1, got {p.b}")
-    return p
 
 
 def _check_order(n):
@@ -199,7 +182,7 @@ def _sequence_rows(values, start):
 
 
 def cmd_density(opts):
-    p = _params(MeixnerParams(opts["a"], opts["b"]))
+    p = MeixnerParams(opts["a"], opts["b"])
     points = opts["points"]
     if points < 2:
         raise FreeMeixnerError(f"points must be >= 2, got {points}")
@@ -221,7 +204,7 @@ def cmd_density(opts):
 
 
 def cmd_moments(opts):
-    p = _params(MeixnerParams(opts["a"], opts["b"]))
+    p = MeixnerParams(opts["a"], opts["b"])
     n = _check_order(opts["n"])
     ms = meixner.moments(p, n)
     data = {"columns": ["n", "m_n"], "rows": _sequence_rows(ms.values, 0)}
@@ -230,7 +213,7 @@ def cmd_moments(opts):
 
 
 def cmd_cumulants(opts):
-    p = _params(MeixnerParams(opts["a"], opts["b"]))
+    p = MeixnerParams(opts["a"], opts["b"])
     n = _check_order(opts["n"])
     if opts.get("q") is not None:
         seq = q_cumulants(opts["a"], opts["b"], opts["q"], n)
@@ -247,7 +230,7 @@ def cmd_cumulants(opts):
 
 
 def cmd_classify(opts):
-    p = _params(MeixnerParams(opts["a"], opts["b"]))
+    p = MeixnerParams(opts["a"], opts["b"])
     label = meixner.classify(p)
     fired = {
         MeixnerType.SEMICIRCLE: ["a == 0", "b == 0"],
@@ -262,7 +245,7 @@ def cmd_classify(opts):
 
 
 def cmd_atoms(opts):
-    p = _params(MeixnerParams(opts["a"], opts["b"]))
+    p = MeixnerParams(opts["a"], opts["b"])
     data = {
         "support": list(meixner.support(p)),
         "atoms": [list(t) for t in meixner.atoms(p)],
@@ -271,7 +254,7 @@ def cmd_atoms(opts):
 
 
 def cmd_convolve_power(opts):
-    p = _params(MeixnerParams(opts["a"], opts["b"]))
+    p = MeixnerParams(opts["a"], opts["b"])
     n = _check_order(opts["n"])
     base = meixner.cumulants(p, max(n, 2), method="from_moments")
     scaled = convolution_power(base, opts["t"])
@@ -301,7 +284,7 @@ def cmd_levy(opts):
 
 
 def cmd_transform(opts):
-    p = _params(MeixnerParams(opts["a"], opts["b"]))
+    p = MeixnerParams(opts["a"], opts["b"])
     z = opts["z"]
     data = {"z": _cell(z)}
     try:
@@ -319,34 +302,9 @@ def cmd_transform(opts):
     return data, ["cauchy-transform", "r-transform"], 0
 
 
-def _orthogonality_report(p, max_degree, tol):
-    rule = numerics.gauss_rule(p, max(11, max_degree + 1))
-    orders, residuals, passed = [], [], []
-    for j in range(1, max_degree + 1):
-        worst = 0.0
-        for i in range(j):
-            val = rule.integrate(
-                lambda x: float(meixner.orthogonal_polynomial(p, i, x))
-                * float(meixner.orthogonal_polynomial(p, j, x))
-            )
-            worst = max(worst, abs(val))
-        norm = rule.integrate(lambda x: float(meixner.orthogonal_polynomial(p, j, x)) ** 2)
-        expected = float((1 + p.b)) ** (j - 1)
-        worst = max(worst, abs(norm - expected) / max(1.0, expected))
-        orders.append(j)
-        residuals.append(worst)
-        passed.append(worst <= tol)
-    return verify.RegressionReport(
-        identity="orthogonality",
-        orders=tuple(orders),
-        residuals=tuple(residuals),
-        passed=tuple(passed),
-    )
-
-
 def cmd_verify(opts):
     suite = opts["suite"]
-    p = _params(MeixnerParams(opts["a"], opts["b"]))
+    p = MeixnerParams(opts["a"], opts["b"])
     reports = []
     if suite in ("regression", "all"):
         n = opts["n"] or 8
@@ -357,7 +315,7 @@ def cmd_verify(opts):
     if suite in ("recursion", "all"):
         reports.append(verify.verify_moment_recursion(p, opts["n"] or 12))
     if suite in ("orthogonality", "all"):
-        reports.append(_orthogonality_report(p, min(opts["n"] or 10, 10), opts["eps"]))
+        reports.append(verify.verify_orthogonality(p, min(opts["n"] or 10, 10), opts["eps"]))
     if suite in ("levy", "all"):
         l = LevyParams(opts["eta"], opts["sigma"])
         reports.append(verify.verify_levy_martingale(l, opts["s"], opts["u"], opts["n"] or 6))
@@ -426,16 +384,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     opts = {k: v for k, v in vars(args).items() if k not in ("command", "format")}
     # tolerance knobs (--eps) and complex points (--z) never affect exactness
-    cfg = CliConfig(
-        command=args.command,
-        fmt=args.format,
-        exact=not any(
-            isinstance(v, float) for k, v in opts.items() if k not in ("eps", "z")
-        ),
-        options=opts,
-    )
+    exact = not any(isinstance(v, float) for k, v in opts.items() if k not in ("eps", "z"))
     try:
-        data, identities, code = _HANDLERS[cfg.command](cfg.options)
+        data, identities, code = _HANDLERS[args.command](opts)
     except FreeMeixnerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -443,12 +394,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = {
-        "command": cfg.command,
-        "params": {k: _cell(v) for k, v in cfg.options.items() if v is not None},
+        "command": args.command,
+        "params": {k: _cell(v) for k, v in opts.items() if v is not None},
         "data": data,
-        "provenance": {"identities": identities, "exact": cfg.exact},
+        "provenance": {"identities": identities, "exact": exact},
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         _render_json(payload, sys.stdout)
     else:
         _render_csv(payload, sys.stdout)

@@ -125,30 +125,46 @@ def _check_order(n):
         raise OrderCapError(f"order {n} exceeds the supported cap {MAX_ORDER}")
 
 
+def _free_transform(values, invert):
+    """Moments from cumulants, or cumulants from moments when ``invert``.
+
+    ``values`` holds (R_1, ..., R_N), or (m_1, ..., m_N) when inverting;
+    returns (m_0, ..., m_N) or (R_1, ..., R_N).  The table
+    power[s][t] = [z^t] M(z)^s depends only on m_0..m_t, so it grows one
+    anti-diagonal s + t = n per order.  The full block enters m_n with
+    coefficient power[n][0] = 1, so m_n = lower + R_n, where lower sums
+    the blocks below n; the inverse reads R_n off that and keeps the
+    moments it rebuilds, never the ones it was given.
+    """
+    one = Fraction(1) if all(is_exact(v) for v in values) else 1.0
+    m = [one]
+    r: list[Scalar] = []
+    power = [[one]]
+    for n, given in enumerate(values, start=1):
+        lower = 0
+        for s in range(1, n):
+            t = n - s
+            prev = power[s - 1]
+            acc = 0
+            for j in range(t + 1):
+                acc += prev[t - j] * m[j]
+            power[s].append(acc)
+            lower += r[s - 1] * acc
+        power.append([one])  # [z^0] M^n = 1
+        power[0].append(0)  # [z^n] M^0 = 0
+        r_n = given - lower if invert else given
+        r.append(r_n)
+        m.append(lower + r_n)
+    return r if invert else m
+
+
 def cumulants_to_moments(r: CumulantSequence) -> MomentSequence:
     """Moments of the law whose free cumulants are ``r``.
 
     Exact when the cumulants are rational.  m_0 = 1 always.
     """
     _check_order(r.order)
-    one = Fraction(1) if r.is_exact else 1.0
-    m = [one]
-    for n in range(1, r.order + 1):
-        # conv[s][t] built incrementally: coefficient of z^t in (sum m_j z^j)^s
-        row = [one] + [0] * (n - 1)  # s = 0
-        total = 0
-        for s in range(1, n + 1):
-            limit = n - s
-            new = [0] * (limit + 1)
-            for t in range(limit + 1):
-                acc = 0
-                for j in range(t + 1):
-                    acc += row[t - j] * m[j]
-                new[t] = acc
-            row = new
-            total += r.cumulant(s) * row[limit]
-        m.append(total)
-    return MomentSequence(tuple(m))
+    return MomentSequence(tuple(_free_transform(r.values, invert=False)))
 
 
 def moments_to_cumulants(m: MomentSequence) -> CumulantSequence:
@@ -161,12 +177,7 @@ def moments_to_cumulants(m: MomentSequence) -> CumulantSequence:
     _check_order(m.order)
     if m.order < 1:
         raise ValueError("need at least m_1 to extract cumulants")
-    r: list[Scalar] = []
-    for n in range(1, m.order + 1):
-        partial = CumulantSequence(tuple(r) + (0,))
-        lower = cumulants_to_moments(partial).moment(n)
-        r.append(m.moment(n) - lower)
-    return CumulantSequence(tuple(r))
+    return CumulantSequence(tuple(_free_transform(m.values[1:], invert=True)))
 
 
 def free_convolve(r1: CumulantSequence, r2: CumulantSequence) -> CumulantSequence:
@@ -271,11 +282,22 @@ def q_factorial(n: int, q) -> Scalar:
     return out
 
 
+def _q_pascal(n_max: int, q) -> list[list[Scalar]]:
+    """Rows 0..n_max of Gaussian binomials by the q-Pascal rule
+    [n choose k]_q = [n-1 choose k-1]_q + q^k [n-1 choose k]_q."""
+    one = Fraction(1) if is_exact(q) else 1.0
+    rows = [[one]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+        rows.append([one] + [prev[k - 1] + q ** k * prev[k] for k in range(1, n)] + [one])
+    return rows
+
+
 def q_binomial(n: int, k: int, q) -> Scalar:
     """Gaussian binomial coefficient [n choose k]_q; reduces to 1 at q = 0."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return q_factorial(n, q) / (q_factorial(n - k, q) * q_factorial(k, q))
+    return _q_pascal(n, as_scalar(q))[n][k]
 
 
 def q_cumulants(a, b, q, order: int) -> CumulantSequence:
@@ -299,9 +321,10 @@ def q_cumulants(a, b, q, order: int) -> CumulantSequence:
     _check_order(order)
     exact = is_exact(a) and is_exact(b) and is_exact(q)
     r: list[Scalar] = [Fraction(0) if exact else 0.0, Fraction(1) if exact else 1.0]
+    binom = _q_pascal(order - 2, q)
     for n in range(2, order):
         nxt = a * r[n - 1]
         for j in range(2, n):
-            nxt += b * q_binomial(n - 1, j - 1, q) * r[j - 1] * r[n - j]
+            nxt += b * binom[n - 1][j - 1] * r[j - 1] * r[n - j]
         r.append(nxt)
     return CumulantSequence(tuple(r))

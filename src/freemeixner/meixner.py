@@ -34,9 +34,9 @@ from .cumulants import (
     CumulantSequence,
     MomentSequence,
     moments_to_cumulants,
+    q_cumulants,
 )
 from .errors import DomainError
-from .ncpart import enumerate_nc_le2
 from .scalars import Scalar, as_scalar, exact_sqrt, is_exact
 
 _ATOM_WEIGHT_FLOOR = 1e-12
@@ -318,7 +318,8 @@ def cumulants(p: MeixnerParams, order: int, method: str = "nc_le2") -> CumulantS
     All methods agree exactly; each one exercises a different identity:
 
     - ``nc_le2``: R_{n+2} = sum over non-crossing pair/singleton partitions
-      of {1..n} of a^(#singletons) b^(#pairs), valid for every b >= -1;
+      of {1..n} of a^(#singletons) b^(#pairs), valid for every b >= -1,
+      evaluated by the first-block recursion up to ``MAX_ORDER``;
     - ``semicircle``: R_{n+2} is the n-th raw moment of the semicircle law
       with mean a and variance b (requires b >= 0, where that is a measure);
     - ``from_moments``: invert the moment recursion through the general
@@ -328,16 +329,8 @@ def cumulants(p: MeixnerParams, order: int, method: str = "nc_le2") -> CumulantS
         raise ValueError(f"order must be >= 2, got {order}")
     a, b = p.a, p.b
     if method == "nc_le2":
-        one = Fraction(1) if p.is_exact else 1.0
-        values: list[Scalar] = [0 * one, one]
-        for n in range(1, order - 1):
-            acc = 0
-            for part in enumerate_nc_le2(n):
-                k = len(part.blocks)
-                s = sum(1 for blk in part.blocks if len(blk) == 1)
-                acc += a ** s * b ** (k - s)
-            values.append(acc * one)
-        return CumulantSequence(tuple(values))
+        # splitting the pair-partition sum on the block holding 1 gives the q = 0 recursion
+        return q_cumulants(a, b, 0, order)
     if method == "semicircle":
         if b < 0:
             raise DomainError(

@@ -1,10 +1,12 @@
 """Non-crossing set partitions of {1..n}.
 
-Everything downstream (cumulant sums, joint moments of free pairs) is a sum
-over these objects, so the enumerators here are the combinatorial substrate
-of the package.  Partitions are kept in a canonical form -- blocks sorted by
-least element, elements ascending inside a block -- so they can be hashed,
-compared and deduplicated.
+Cumulant sums no longer run over these objects: the transforms and the
+Meixner cumulants use the equivalent first-block recursions.  The public
+enumerators are the combinatorial oracle those recursions are tested
+against, and ``_nc_zero`` drives the joint moments of free pairs.
+Partitions are kept in a canonical form -- blocks sorted by least element,
+elements ascending inside a block -- so they can be hashed, compared and
+deduplicated.
 """
 
 from __future__ import annotations

@@ -13,13 +13,16 @@ R_n(V, V, S, ..., S) = alpha beta R_n(S).  The verifiers below evaluate
 both sides of each identity independently -- joint moments through the
 non-crossing partition engine, right-hand sides from the moment sequence --
 and report residuals per order.  With rational inputs every check is exact;
-in float mode a per-order tolerance of 1e-10 applies.
+in float mode a per-order tolerance of 1e-10 applies.  The orthogonality
+check of the law's monic polynomials always runs in floats, against a Gauss
+rule, with a caller-given tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from . import numerics
 from .cumulants import (
     CumulantSequence,
     FreePairSpec,
@@ -27,7 +30,7 @@ from .cumulants import (
     free_pair_moment,
 )
 from .errors import DomainError, OrderCapError
-from .meixner import LevyParams, MeixnerParams, cumulants, moments
+from .meixner import LevyParams, MeixnerParams, cumulants, orthogonal_polynomial
 from .scalars import Scalar, as_scalar, exact_sqrt, is_exact
 
 FLOAT_TOLERANCE = 1e-10
@@ -222,8 +225,8 @@ def verify_levy_martingale(l: LevyParams, s, u, order: int) -> RegressionReport:
     (s/u) tau(X_u^{n+1}) for 1 <= n <= order.
 
     X_u decomposes into the free increments X_s and X_u - X_s whose
-    cumulants are the s/u and (u-s)/u shares of R_n(X_u); joint moments
-    then come from the free-pair engine.
+    cumulants are the s/u and (u-s)/u shares of R_n(X_u), so this is the
+    linear-regression identity on the time-u pair with alpha = s/u.
     """
     s = as_scalar(s)
     u = as_scalar(u)
@@ -233,10 +236,32 @@ def verify_levy_martingale(l: LevyParams, s, u, order: int) -> RegressionReport:
     pair = FreePairSpec(
         CumulantSequence(tuple(u * r for r in base.values)), alpha=s / u
     )
-    x, y, m = _pair_moments(pair)
-    residuals = []
-    orders = range(1, order + 1)
-    for n in orders:
-        lhs = free_pair_moment(x, y, ["X"] + ["S"] * n)
-        residuals.append(lhs - (s / u) * m.moment(n + 1))
-    return _report("levy-martingale", orders, residuals)
+    return replace(verify_linear_regression(pair, order), identity="levy-martingale")
+
+
+def verify_orthogonality(p: MeixnerParams, max_degree: int, tol) -> RegressionReport:
+    """Check that the monic orthogonal polynomials P_1..P_max_degree are
+    orthogonal to every lower degree and have squared norm (1+b)^(j-1)
+    under a Gauss rule of the law, to the float tolerance ``tol``."""
+    rule = numerics.gauss_rule(p, max(11, max_degree + 1))
+    orders, residuals, passed = [], [], []
+    for j in range(1, max_degree + 1):
+        worst = 0.0
+        for i in range(j):
+            val = rule.integrate(
+                lambda x: float(orthogonal_polynomial(p, i, x))
+                * float(orthogonal_polynomial(p, j, x))
+            )
+            worst = max(worst, abs(val))
+        norm = rule.integrate(lambda x: float(orthogonal_polynomial(p, j, x)) ** 2)
+        expected = float((1 + p.b)) ** (j - 1)
+        worst = max(worst, abs(norm - expected) / max(1.0, expected))
+        orders.append(j)
+        residuals.append(worst)
+        passed.append(worst <= tol)
+    return RegressionReport(
+        identity="orthogonality",
+        orders=tuple(orders),
+        residuals=tuple(residuals),
+        passed=tuple(passed),
+    )

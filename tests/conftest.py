@@ -3,7 +3,7 @@ they check."""
 
 from fractions import Fraction
 
-from freemeixner import enumerate_nc
+from freemeixner import enumerate_nc, enumerate_nc_le2
 
 # Rational (a, b) points covering all six regions of the parameter
 # half-plane: semicircle, free Poisson, free Pascal, free Gamma, pure free
@@ -70,6 +70,18 @@ def nc_moment_oracle(r_values, n):
         for block in part.blocks:
             prod *= Fraction(r_values[len(block) - 1])
         total += prod
+    return total
+
+
+def nc_le2_cumulant_oracle(a, b, n):
+    """R_n of mu_{a,b} as the literal sum over non-crossing pair/singleton
+    partitions of {1..n-2} of a^(#singletons) b^(#pairs); R_1 = 0."""
+    if n == 1:
+        return Fraction(0)
+    total = Fraction(0)
+    for part in enumerate_nc_le2(n - 2):
+        singles = sum(1 for block in part.blocks if len(block) == 1)
+        total += Fraction(a) ** singles * Fraction(b) ** (len(part.blocks) - singles)
     return total
 
 

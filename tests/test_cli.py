@@ -73,6 +73,14 @@ class TestCumulants:
         assert q0["data"]["rows"] == free["data"]["rows"]
         assert q0["provenance"]["identities"] == ["q-deformed-recursion"]
 
+    def test_order_24_matches_moment_inversion(self, capsys):
+        args = ("cumulants", "--a", "1/3", "--b", "-1/2", "--n", "24")
+        code, nc = run_json(capsys, *args)
+        assert code == 0
+        _, inv = run_json(capsys, *args, "--method", "from_moments")
+        assert len(nc["data"]["rows"]) == 24
+        assert nc["data"]["rows"] == inv["data"]["rows"]
+
     def test_semicircle_method_domain_error(self, capsys):
         code = main(["cumulants", "--a", "0", "--b", "-1/2", "--n", "6",
                      "--method", "semicircle"])
@@ -247,6 +255,13 @@ class TestVerifyCommand:
             capsys, "verify", "--suite", "recursion", "--a", "0", "--b", "0", "--n", "12"
         )
         assert code == 0
+
+    def test_recursion_suite_order_20(self, capsys):
+        code, payload = run_json(
+            capsys, "verify", "--suite", "recursion", "--a", "1", "--b", "2", "--n", "20"
+        )
+        assert code == 0
+        assert payload["data"]["reports"][0]["orders"][-1] == 20
 
     def test_levy_suite(self, capsys):
         code, payload = run_json(

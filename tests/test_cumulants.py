@@ -2,11 +2,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from conftest import nc_moment_oracle, slow_pair_moment
+from conftest import GRID_POINTS, nc_le2_cumulant_oracle, nc_moment_oracle, slow_pair_moment
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freemeixner import (
+    MAX_ORDER,
     CumulantSequence,
     DomainError,
     FreePairSpec,
@@ -24,6 +25,7 @@ from freemeixner import (
     moments_to_cumulants,
     q_binomial,
     q_cumulants,
+    q_factorial,
     translate,
 )
 
@@ -96,6 +98,12 @@ class TestMomentsToCumulants:
     )
     def test_round_trip(self, rs):
         seq = CumulantSequence(tuple(rs))
+        back = moments_to_cumulants(cumulants_to_moments(seq))
+        assert back.values == seq.values
+
+    def test_round_trip_at_max_order(self):
+        a, b = GRID_POINTS[4]
+        seq = cumulants(MeixnerParams(a, b), MAX_ORDER)
         back = moments_to_cumulants(cumulants_to_moments(seq))
         assert back.values == seq.values
 
@@ -266,9 +274,17 @@ class TestQDeformation:
             seq = q_cumulants(a, b, F(0), 5)
             assert seq.cumulant(5) == a ** 3 + 3 * a * b
 
-    @pytest.mark.parametrize("a,b", [(F(1), F(1)), (F(2), F(-1, 4)), (F(-1, 2), F(2))])
+    @pytest.mark.parametrize("q", [F(1, 2), F(-1, 3), F(1)])
+    def test_qbinomial_matches_q_factorials(self, q):
+        for n in range(13):
+            for k in range(n + 1):
+                got = q_binomial(n, k, q) * q_factorial(k, q) * q_factorial(n - k, q)
+                assert got == q_factorial(n, q)
+
+    @pytest.mark.parametrize("a,b", GRID_POINTS)
     def test_q0_equals_free_cumulants(self, a, b):
-        assert q_cumulants(a, b, 0, 12).values == cumulants(MeixnerParams(a, b), 12).values
+        want = tuple(nc_le2_cumulant_oracle(a, b, n) for n in range(1, 13))
+        assert q_cumulants(a, b, 0, 12).values == want
 
     def test_hand_unrolled_q1_value(self):
         assert q_cumulants(0, 1, 1, 4).cumulant(4) == 2

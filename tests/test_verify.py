@@ -17,6 +17,7 @@ from freemeixner import (
     verify_linear_regression,
     verify_mixed_cumulants,
     verify_moment_recursion,
+    verify_orthogonality,
     verify_quadratic_variance,
 )
 
@@ -196,12 +197,25 @@ class TestLevyMartingale:
     def test_general_parameters(self):
         rep = verify_levy_martingale(LevyParams(F(1), F(1)), F(1), F(3), 6)
         assert rep.ok and rep.max_residual == 0
+        assert rep.identity == "levy-martingale"
+        assert rep.orders == tuple(range(1, 7))
 
     def test_time_ordering(self):
         with pytest.raises(DomainError):
             verify_levy_martingale(LevyParams(0, 0), F(3), F(1), 4)
         with pytest.raises(DomainError):
             verify_levy_martingale(LevyParams(0, 0), F(0), F(1), 4)
+
+
+class TestOrthogonality:
+    @pytest.mark.parametrize("a,b", [(F(0), F(0)), (F(1), F(1)), (F(1), F(-1, 4))])
+    def test_passes(self, a, b):
+        rep = verify_orthogonality(MeixnerParams(a, b), 10, 1e-9)
+        assert rep.ok and rep.identity == "orthogonality"
+        assert rep.orders == tuple(range(1, 11))
+
+    def test_impossible_tolerance_fails(self):
+        assert not verify_orthogonality(MeixnerParams(1, 1), 10, 1e-30).ok
 
 
 class TestForwardDirectionGrid:
