@@ -19,6 +19,7 @@ from .cumulants import (
     dilate,
     free_convolve,
     free_pair_moment,
+    free_pair_prefix_moments,
     joint_moment_free_pair,
     moments_to_cumulants,
     q_binomial,

@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         sigma=(_scalar, Fraction(0), "Levy curvature parameter"),
         s=(_scalar, Fraction(1), "earlier Levy time"),
         u=(_scalar, Fraction(2), "later Levy time"),
-        n=(int, None, "max order (suite-specific default)"),
+        n=(int, None, f"max order, 1..{MAX_SEQUENCE_ORDER} (suite-specific default)"),
         eps=(float, 1e-9, "float-mode tolerance for the orthogonality suite"),
     )
     ver.add_argument(
@@ -304,21 +304,28 @@ def cmd_transform(opts):
 
 def cmd_verify(opts):
     suite = opts["suite"]
+    n = opts["n"]
+    if n is not None and not 1 <= n <= MAX_SEQUENCE_ORDER:
+        raise FreeMeixnerError(f"verify order must lie in 1..{MAX_SEQUENCE_ORDER}, got {n}")
+
+    def order(default):
+        return default if n is None else n
+
     p = MeixnerParams(opts["a"], opts["b"])
     reports = []
     if suite in ("regression", "all"):
-        n = opts["n"] or 8
-        pair = verify.build_free_pair(opts["alpha"], p, n + 2)
-        reports.append(verify.verify_linear_regression(pair, n))
-        reports.append(verify.verify_quadratic_variance(pair, n))
-        reports.append(verify.verify_mixed_cumulants(pair, n))
+        k = order(8)
+        pair = verify.build_free_pair(opts["alpha"], p, k + 2)
+        reports.append(verify.verify_linear_regression(pair, k))
+        reports.append(verify.verify_quadratic_variance(pair, k))
+        reports.append(verify.verify_mixed_cumulants(pair, k))
     if suite in ("recursion", "all"):
-        reports.append(verify.verify_moment_recursion(p, opts["n"] or 12))
+        reports.append(verify.verify_moment_recursion(p, order(12)))
     if suite in ("orthogonality", "all"):
-        reports.append(verify.verify_orthogonality(p, min(opts["n"] or 10, 10), opts["eps"]))
+        reports.append(verify.verify_orthogonality(p, min(order(10), 10), opts["eps"]))
     if suite in ("levy", "all"):
         l = LevyParams(opts["eta"], opts["sigma"])
-        reports.append(verify.verify_levy_martingale(l, opts["s"], opts["u"], opts["n"] or 6))
+        reports.append(verify.verify_levy_martingale(l, opts["s"], opts["u"], order(6)))
     all_passed = all(r.ok for r in reports)
     data = {
         "suite": suite,

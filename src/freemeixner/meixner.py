@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,6 +41,8 @@ from .errors import DomainError
 from .scalars import Scalar, as_scalar, exact_sqrt, is_exact
 
 _ATOM_WEIGHT_FLOOR = 1e-12
+# Relative rounding allowance for the terms of an atom's residue numerator.
+_ATOM_ROUNDING = 16 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -144,8 +147,9 @@ def atoms(p: MeixnerParams) -> list[tuple[float, float]]:
 
     Candidates are the real roots of b x^2 + a x + 1 outside the open
     support; the weight is the residue of the Cauchy transform there and
-    candidates with weight <= 1e-12 are dropped.  A double root (on the
-    free Gamma parabola a^2 = 4b) always carries residue zero.
+    candidates with weight <= 1e-12, or within the residue's rounding
+    error of zero, are dropped.  A double root (on the free Gamma parabola
+    a^2 = 4b) always carries residue zero.
     """
     a = float(p.a)
     b = float(p.b)
@@ -171,9 +175,14 @@ def atoms(p: MeixnerParams) -> list[tuple[float, float]]:
             # effectively a double root; residue vanishes identically
             continue
         w0 = _w_real(a, x0, lo, hi)
-        numer = (1.0 + 2.0 * b) * x0 + a - w0
+        lin = (1.0 + 2.0 * b) * x0 + a
+        numer = lin - w0
         weight = numer / (2.0 * qp)
-        if weight > _ATOM_WEIGHT_FLOOR:
+        # When the roots nearly coincide, numer cancels between near-equal
+        # terms and the small 2 q'(x0) amplifies its rounding error; a
+        # weight inside that error is noise, not an atom.
+        noise = _ATOM_ROUNDING * (abs(lin) + abs(a) + abs(w0)) / abs(2.0 * qp)
+        if weight > max(_ATOM_WEIGHT_FLOOR, noise):
             found.append((x0, weight))
     found.sort(key=lambda t: t[0])
     return found

@@ -1,9 +1,9 @@
 """Non-crossing set partitions of {1..n}.
 
-Cumulant sums no longer run over these objects: the transforms and the
-Meixner cumulants use the equivalent first-block recursions.  The public
-enumerators are the combinatorial oracle those recursions are tested
-against, and ``_nc_zero`` drives the joint moments of free pairs.
+No library computation runs over these objects: the transforms, the
+Meixner cumulants and the joint moments of free pairs all use equivalent
+first-block recursions.  The public enumerators are the combinatorial
+oracle those recursions are tested against.
 Partitions are kept in a canonical form -- blocks sorted by least element,
 elements ascending inside a block -- so they can be hashed, compared and
 deduplicated.
@@ -49,6 +49,15 @@ class Partition:
                 seen.add(i)
         if len(seen) != self.n:
             raise ValueError("blocks do not cover the ground set")
+
+    @classmethod
+    def _trusted(cls, n, blocks):
+        """Build a Partition the enumerators already know to be canonical,
+        skipping the validation in ``__post_init__``."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "n", n)
+        object.__setattr__(part, "blocks", blocks)
+        return part
 
     @classmethod
     def from_blocks(cls, n, blocks):
@@ -167,10 +176,10 @@ def _check_cap(n, cap):
 def enumerate_nc(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Partition]:
     """All non-crossing partitions of {1..n}, canonical, no duplicates."""
     _check_cap(n, cap)
-    return [Partition(n, _shift(blocks, 1)) for blocks in _nc_zero(n)]
+    return [Partition._trusted(n, _shift(blocks, 1)) for blocks in _nc_zero(n)]
 
 
 def enumerate_nc_le2(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Partition]:
     """The subset of non-crossing partitions whose blocks have size <= 2."""
     _check_cap(n, cap)
-    return [Partition(n, _shift(blocks, 1)) for blocks in _nc_le2_zero(n)]
+    return [Partition._trusted(n, _shift(blocks, 1)) for blocks in _nc_le2_zero(n)]

@@ -10,9 +10,10 @@ Meixner law and the pair satisfies, at every moment order,
 with V = beta X - alpha Y, beta = 1 - alpha, C = alpha beta / (1+b), and
 the mixed cumulants obey R_n(V, S, ..., S) = 0 and
 R_n(V, V, S, ..., S) = alpha beta R_n(S).  The verifiers below evaluate
-both sides of each identity independently -- joint moments through the
-non-crossing partition engine, right-hand sides from the moment sequence --
-and report residuals per order.  With rational inputs every check is exact;
+both sides of each identity independently -- joint moments by the
+first-block interval recursion over the free pair's word, one pass giving
+every order, right-hand sides from the moment sequence -- and report
+residuals per order.  With rational inputs every check is exact;
 in float mode a per-order tolerance of 1e-10 applies.  The orthogonality
 check of the law's monic polynomials always runs in floats, against a Gauss
 rule, with a caller-given tolerance.
@@ -27,7 +28,7 @@ from .cumulants import (
     CumulantSequence,
     FreePairSpec,
     cumulants_to_moments,
-    free_pair_moment,
+    free_pair_prefix_moments,
 )
 from .errors import DomainError, OrderCapError
 from .meixner import LevyParams, MeixnerParams, cumulants, orthogonal_polynomial
@@ -125,11 +126,9 @@ def verify_linear_regression(pair: FreePairSpec, order: int) -> RegressionReport
             f"need pair cumulants up to order {order + 1}, have {pair.order}"
         )
     x, y, m = _pair_moments(pair)
-    residuals = []
+    lhs = free_pair_prefix_moments(x, y, ["X"] + ["S"] * order)  # lhs[n] = tau(X S^n)
     orders = range(1, order + 1)
-    for n in orders:
-        lhs = free_pair_moment(x, y, ["X"] + ["S"] * n)
-        residuals.append(lhs - pair.alpha * m.moment(n + 1))
+    residuals = [lhs[n] - pair.alpha * m.moment(n + 1) for n in orders]
     return _report("linear-regression", orders, residuals)
 
 
@@ -157,15 +156,19 @@ def verify_quadratic_variance(pair: FreePairSpec, order: int) -> RegressionRepor
         raise DomainError("conditional-variance constant undefined at b = -1")
     alpha, beta = pair.alpha, pair.beta
     c = alpha * beta / (1 + b)
+    # xx[n + 1] = tau(X X S^n), and likewise for the other three heads
+    tail = ["S"] * order
+    xx, xy, yx, yy = (
+        free_pair_prefix_moments(x, y, list(head) + tail) for head in ("XX", "XY", "YX", "YY")
+    )
     residuals = []
     orders = range(0, order + 1)
     for n in orders:
-        tail = ["S"] * n
         lhs = (
-            beta * beta * free_pair_moment(x, y, ["X", "X"] + tail)
-            - alpha * beta * free_pair_moment(x, y, ["X", "Y"] + tail)
-            - alpha * beta * free_pair_moment(x, y, ["Y", "X"] + tail)
-            + alpha * alpha * free_pair_moment(x, y, ["Y", "Y"] + tail)
+            beta * beta * xx[n + 1]
+            - alpha * beta * xy[n + 1]
+            - alpha * beta * yx[n + 1]
+            + alpha * alpha * yy[n + 1]
         )
         rhs = c * (m.moment(n) + a * m.moment(n + 1) + b * m.moment(n + 2))
         residuals.append(lhs - rhs)

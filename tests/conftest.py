@@ -3,7 +3,15 @@ they check."""
 
 from fractions import Fraction
 
+from hypothesis import settings
+
 from freemeixner import enumerate_nc, enumerate_nc_le2
+
+# Property tests draw the same examples on every run and stay inside the
+# suite's time budget; a test may still ask for fewer examples.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          max_examples=40, deadline=None)
+settings.load_profile("deterministic")
 
 # Rational (a, b) points covering all six regions of the parameter
 # half-plane: semicircle, free Poisson, free Pascal, free Gamma, pure free
@@ -108,4 +116,27 @@ def slow_pair_moment(x_values, y_values, word):
                 vals = x_values if letters == {"X"} else y_values
                 prod *= Fraction(vals[len(block) - 1])
             total += prod
+    return total
+
+
+def nc_pair_moment_oracle(x_values, y_values, word):
+    """Joint moment of a free pair as the literal sum over NC(n): a block
+    weighs R_k(X) if its letters are X or S, R_k(Y) if Y or S, both summed
+    if it is all S, and 0 if it holds both an X and a Y."""
+    total = 0
+    for part in enumerate_nc(len(word)):
+        prod = 1
+        for block in part.blocks:
+            letters = {word[i - 1] for i in block} - {"S"}
+            k = len(block) - 1
+            if len(letters) > 1:
+                prod = 0
+                break
+            if letters == {"X"}:
+                prod *= x_values[k]
+            elif letters == {"Y"}:
+                prod *= y_values[k]
+            else:
+                prod *= x_values[k] + y_values[k]
+        total += prod
     return total

@@ -277,6 +277,24 @@ class TestVerifyCommand:
         assert code == 0
         assert payload["data"]["all_passed"] is True
 
+    @pytest.mark.parametrize("n", ["0", "-3", "25"])
+    def test_order_outside_range_rejected(self, capsys, n):
+        code = main(["verify", "--suite", "regression", "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "1..24" in captured.err
+        assert captured.out == ""
+
+    def test_all_suites_at_max_order(self, capsys):
+        code, payload = run_json(
+            capsys, "verify", "--suite", "all", "--a", "1", "--b", "1", "--n", "24",
+        )
+        assert code == 0
+        assert payload["data"]["all_passed"] is True
+        last = {r["identity"]: r["orders"][-1] for r in payload["data"]["reports"]}
+        assert last["linear-regression"] == last["quadratic-variance"] == 24
+        assert last["levy-martingale"] == 24
+
     def test_infeasible_split_is_config_error(self, capsys):
         code = main([
             "verify", "--suite", "regression",

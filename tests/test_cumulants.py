@@ -2,7 +2,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from conftest import GRID_POINTS, nc_le2_cumulant_oracle, nc_moment_oracle, slow_pair_moment
+from conftest import (
+    GRID_POINTS,
+    nc_le2_cumulant_oracle,
+    nc_moment_oracle,
+    nc_pair_moment_oracle,
+    slow_pair_moment,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +26,7 @@ from freemeixner import (
     dilate,
     free_convolve,
     free_pair_moment,
+    free_pair_prefix_moments,
     joint_moment_free_pair,
     moments,
     moments_to_cumulants,
@@ -256,6 +263,59 @@ class TestJointMoments:
         y = CumulantSequence((F(1), F(2, 3), F(0)))
         word = ["X", "S", "Y"]
         assert free_pair_moment(x, y, word) == slow_pair_moment(x.values, y.values, word)
+
+
+@st.composite
+def pair_words(draw, values):
+    """A word over {X, Y, S} of length 1..9 and two unequal cumulant
+    sequences as long as the word.  The multilinear oracle expands each S
+    both ways, so at most four S letters keep it under 2^4 Catalan(9)
+    partitions."""
+    word = draw(
+        st.lists(st.sampled_from("XYS"), min_size=1, max_size=9).filter(
+            lambda w: w.count("S") <= 4
+        )
+    )
+    n = len(word)
+    x = draw(st.lists(values, min_size=n, max_size=n))
+    y = draw(st.lists(values, min_size=n, max_size=n).filter(lambda v: v != x))
+    return word, tuple(x), tuple(y)
+
+
+RATIONALS = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+FLOATS = st.one_of(st.just(0.0), st.floats(min_value=-3, max_value=3))
+
+
+class TestPairEngine:
+    """The interval recursion against the partition-sum oracles."""
+
+    @settings(max_examples=25)
+    @given(pair_words(RATIONALS))
+    def test_matches_oracles(self, case):
+        word, xv, yv = case
+        fast = free_pair_moment(CumulantSequence(xv), CumulantSequence(yv), word)
+        assert isinstance(fast, F)
+        assert fast == slow_pair_moment(xv, yv, word)
+        assert fast == nc_pair_moment_oracle(xv, yv, word)
+
+    @given(pair_words(RATIONALS))
+    def test_prefixes_match_single_words(self, case):
+        word, xv, yv = case
+        x, y = CumulantSequence(xv), CumulantSequence(yv)
+        prefixes = free_pair_prefix_moments(x, y, word)
+        assert len(prefixes) == len(word)
+        for j, value in enumerate(prefixes, start=1):
+            assert value == free_pair_moment(x, y, word[:j])
+
+    @given(pair_words(FLOATS))
+    def test_float_matches_exact_oracle(self, case):
+        word, xv, yv = case
+        fast = free_pair_moment(CumulantSequence(xv), CumulantSequence(yv), word)
+        assert isinstance(fast, float)
+        exact = nc_pair_moment_oracle([F(v) for v in xv], [F(v) for v in yv], word)
+        # the same partition sum with every term made positive
+        scale = nc_pair_moment_oracle([abs(F(v)) for v in xv], [abs(F(v)) for v in yv], word)
+        assert abs(F(fast) - exact) <= F(1e-12) * scale
 
 
 class TestQDeformation:

@@ -148,6 +148,25 @@ class TestAtoms:
         lw = law(0, F(-1, 2))
         assert abs(integrate_against_law(lw, lambda x: 1.0).value - 1) < 1e-9
 
+    def test_no_spurious_atom_below_gamma_parabola(self):
+        # b just below a^2/4: the residue at the far root is 0 (checked to
+        # 60 digits), but its float numerator cancels to rounding noise that
+        # the tiny q'(x0) blows up to about 1e-12
+        assert atoms(MeixnerParams(-0.5044942835844612, 0.06362861054234971)) == []
+
+    @pytest.mark.parametrize("a,b", GRID_POINTS)
+    def test_grid_atoms_pinned(self, a, b):
+        # the genuine atoms (free Poisson, free Pascal, free binomial,
+        # b = -1) keep these exact floats through the rounding-noise check
+        pinned = {
+            (F(2), F(0)): [(-0.5, 0.75)],
+            (F(3), F(1)): [(-0.3819660112501051, 0.829179606750063)],
+            (F(5, 2), F(1, 2)): [(-0.4384471871911697, 0.7873218748183352)],
+            (F(1), F(-1, 4)): [(-0.8284271247461903, 0.41421356237309526)],
+            (F(0), F(-1)): [(-1.0, 0.5), (1.0, 0.5)],
+        }
+        assert atoms(MeixnerParams(a, b)) == pinned.get((a, b), [])
+
     def test_counting_upper_bound(self):
         for a, b in GRID_POINTS:
             got = atoms(MeixnerParams(a, b))

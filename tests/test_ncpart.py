@@ -99,9 +99,11 @@ class TestEnumeration:
         assert len(parts) == len(set(parts))
 
     def test_all_valid(self):
-        # Partition.__post_init__ re-validates every invariant
-        for p in enumerate_nc(6):
-            Partition(p.n, p.blocks)
+        # the enumerators skip validation; the public constructor re-checks
+        # every invariant of what they built
+        for n in range(10):
+            for p in enumerate_nc(n) + enumerate_nc_le2(n):
+                assert Partition(p.n, p.blocks) == p
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):

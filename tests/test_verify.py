@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from conftest import GRID_POINTS
 
 from freemeixner import (
     CumulantSequence,
@@ -225,6 +226,35 @@ class TestForwardDirectionGrid:
         assert verify_linear_regression(pair, 6).max_residual == 0
         assert verify_quadratic_variance(pair, 6).max_residual == 0
         assert verify_mixed_cumulants(pair, 8).max_residual == 0
+
+
+class TestHighOrder:
+    """The identities at order 24, where the words have up to 26 letters."""
+
+    # b > 0, b = 0 and b < 0
+    @pytest.mark.parametrize("a,b", [GRID_POINTS[4], GRID_POINTS[1], GRID_POINTS[9]])
+    def test_identities_hold_at_order_24(self, a, b):
+        pair = build_free_pair(F(1, 3), MeixnerParams(a, b), 26)
+        reg = verify_linear_regression(pair, 24)
+        assert reg.orders == tuple(range(1, 25))
+        assert reg.ok and reg.max_residual == 0
+        var = verify_quadratic_variance(pair, 24)
+        assert var.orders == tuple(range(0, 25))
+        assert var.ok and var.max_residual == 0
+
+    def test_tampered_third_cumulant_fails(self):
+        # the acceptance c06 control: R_3(X) pushed off the alpha split
+        base = cumulants(MeixnerParams(F(1), F(1)), 26)
+        pair = PerturbedPair(base, F(1, 3), broken_order=3, delta=F(1, 9))
+        assert not verify_linear_regression(pair, 24).ok
+        assert not verify_quadratic_variance(pair, 24).ok
+
+    def test_tampered_top_cumulant_caught_only_at_high_order(self):
+        base = cumulants(MeixnerParams(F(1), F(1)), 26)
+        pair = PerturbedPair(base, F(1, 3), broken_order=24)
+        # R_24 first enters tau(X S^23) and tau(X X S^22)
+        assert verify_linear_regression(pair, 24).first_failure == 23
+        assert verify_quadratic_variance(pair, 24).first_failure == 22
 
 
 class TestFloatMode:
