@@ -21,7 +21,7 @@ from fractions import Fraction
 # ("-1-2j") as option values rather than mistaking them for flags
 _NEGATIVE_VALUE = re.compile(r"^-[0-9.+\-/jJeE]+$")
 
-from . import meixner, numerics, verify
+from . import meixner, verify
 from .cumulants import (
     convolution_power,
     cumulants_to_moments,
@@ -66,9 +66,9 @@ def _cell(v):
     return v
 
 
-def _check_order(n):
-    if not 0 <= n <= MAX_SEQUENCE_ORDER:
-        raise FreeMeixnerError(f"order must lie in 0..{MAX_SEQUENCE_ORDER}, got {n}")
+def _check_order(n, low=0):
+    if not low <= n <= MAX_SEQUENCE_ORDER:
+        raise FreeMeixnerError(f"order must lie in {low}..{MAX_SEQUENCE_ORDER}, got {n}")
     return n
 
 
@@ -105,13 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
         "moments",
         "raw moments m_0..m_N (exact fractions in exact mode)",
         **scalars,
-        n=(int, 16, f"truncation order, <= {MAX_SEQUENCE_ORDER}"),
+        n=(int, 16, f"truncation order, 0..{MAX_SEQUENCE_ORDER}"),
     )
     cum = add(
         "cumulants",
         "free cumulants R_1..R_N; --q switches to the q-deformed recursion",
         **scalars,
-        n=(int, 16, f"truncation order, <= {MAX_SEQUENCE_ORDER}"),
+        n=(int, 16, f"truncation order, 2..{MAX_SEQUENCE_ORDER}"),
         q=(_scalar, None, "deformation parameter in (-1, 1]; omit for the free case"),
     )
     cum.add_argument(
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         "moments of the t-fold free convolution power (t >= 1)",
         **scalars,
         t=(_scalar, Fraction(1), "convolution power"),
-        n=(int, 16, "truncation order"),
+        n=(int, 16, f"truncation order, 0..{MAX_SEQUENCE_ORDER}"),
     )
     add(
         "levy",
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         eta=(_scalar, Fraction(0), "drift-like parameter"),
         sigma=(_scalar, Fraction(0), "curvature parameter, >= 0"),
         t=(_scalar, Fraction(1), "time, > 0"),
-        n=(int, 12, "moment order"),
+        n=(int, 12, f"moment order, 0..{MAX_SEQUENCE_ORDER}"),
     )
     add(
         "transform",
@@ -214,7 +214,7 @@ def cmd_moments(opts):
 
 def cmd_cumulants(opts):
     p = MeixnerParams(opts["a"], opts["b"])
-    n = _check_order(opts["n"])
+    n = _check_order(opts["n"], 2)
     if opts.get("q") is not None:
         seq = q_cumulants(opts["a"], opts["b"], opts["q"], n)
         tag = "q-deformed-recursion"
@@ -298,6 +298,8 @@ def cmd_transform(opts):
         data["r"] = None
         data["r_error"] = str(exc)
     if opts.get("eps") is not None and z.imag == 0:
+        from . import numerics  # the float layer loads numpy and scipy
+
         data["smoothed_density"] = numerics.stieltjes_invert(p, z.real, opts["eps"])
     return data, ["cauchy-transform", "r-transform"], 0
 
@@ -305,8 +307,8 @@ def cmd_transform(opts):
 def cmd_verify(opts):
     suite = opts["suite"]
     n = opts["n"]
-    if n is not None and not 1 <= n <= MAX_SEQUENCE_ORDER:
-        raise FreeMeixnerError(f"verify order must lie in 1..{MAX_SEQUENCE_ORDER}, got {n}")
+    if n is not None:
+        _check_order(n, 1)
 
     def order(default):
         return default if n is None else n

@@ -98,20 +98,18 @@ def is_crossing(p: Partition) -> bool:
 
 
 # Partitions of a segment depend only on its length, so small segments are
-# cached as 0-based block tuples and shifted on use.
+# cached as block tuples of {1..n} and shifted on use.
 _CACHE_LIMIT = 10
 _NC_CACHE: dict[int, tuple] = {}
 _NC_LE2_CACHE: dict[int, tuple] = {}
 
 
 def _shift(blocks, offset):
-    if offset == 0:
-        return blocks
     return tuple(tuple(i + offset for i in b) for b in blocks)
 
 
-def _nc_zero(n):
-    """All non-crossing partitions of {0..n-1} as canonical block tuples."""
+def _nc_blocks(n):
+    """All non-crossing partitions of {1..n} as canonical block tuples."""
     cached = _NC_CACHE.get(n)
     if cached is not None:
         return cached
@@ -119,15 +117,15 @@ def _nc_zero(n):
         result = ((),)
     else:
         out = []
-        rest = range(1, n)
+        rest = range(2, n + 1)
         for size in range(n):
             for tail in itertools.combinations(rest, size):
-                first = (0,) + tail
+                first = (1,) + tail
                 # Every other block must fit in one gap between consecutive
                 # members of the first block (or after its last member).
-                bounds = first + (n,)
+                bounds = first + (n + 1,)
                 gap_parts = [
-                    tuple(_shift(part, lo + 1) for part in _nc_zero(hi - lo - 1))
+                    tuple(_shift(part, lo) for part in _nc_blocks(hi - lo - 1))
                     for lo, hi in zip(first, bounds[1:])
                 ]
                 for combo in itertools.product(*gap_parts):
@@ -141,8 +139,8 @@ def _nc_zero(n):
     return result
 
 
-def _nc_le2_zero(n):
-    """Non-crossing partitions of {0..n-1} with block sizes at most 2."""
+def _nc_le2_blocks(n):
+    """Non-crossing partitions of {1..n} with block sizes at most 2."""
     cached = _NC_LE2_CACHE.get(n)
     if cached is not None:
         return cached
@@ -150,14 +148,14 @@ def _nc_le2_zero(n):
         result = ((),)
     else:
         out = []
-        for sub in _nc_le2_zero(n - 1):
-            out.append(((0,),) + _shift(sub, 1))
-        for j in range(1, n):
-            inner = tuple(_shift(part, 1) for part in _nc_le2_zero(j - 1))
-            outer = tuple(_shift(part, j + 1) for part in _nc_le2_zero(n - 1 - j))
+        for sub in _nc_le2_blocks(n - 1):
+            out.append(((1,),) + _shift(sub, 1))
+        for j in range(2, n + 1):
+            inner = tuple(_shift(part, 1) for part in _nc_le2_blocks(j - 2))
+            outer = tuple(_shift(part, j) for part in _nc_le2_blocks(n - j))
             for left in inner:
                 for right in outer:
-                    out.append(((0, j),) + left + right)
+                    out.append(((1, j),) + left + right)
         result = tuple(out)
     if n <= _CACHE_LIMIT:
         _NC_LE2_CACHE[n] = result
@@ -176,10 +174,10 @@ def _check_cap(n, cap):
 def enumerate_nc(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Partition]:
     """All non-crossing partitions of {1..n}, canonical, no duplicates."""
     _check_cap(n, cap)
-    return [Partition._trusted(n, _shift(blocks, 1)) for blocks in _nc_zero(n)]
+    return [Partition._trusted(n, blocks) for blocks in _nc_blocks(n)]
 
 
 def enumerate_nc_le2(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Partition]:
     """The subset of non-crossing partitions whose blocks have size <= 2."""
     _check_cap(n, cap)
-    return [Partition._trusted(n, _shift(blocks, 1)) for blocks in _nc_le2_zero(n)]
+    return [Partition._trusted(n, blocks) for blocks in _nc_le2_blocks(n)]

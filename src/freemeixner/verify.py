@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from . import numerics
 from .cumulants import (
     CumulantSequence,
     FreePairSpec,
@@ -246,6 +245,8 @@ def verify_orthogonality(p: MeixnerParams, max_degree: int, tol) -> RegressionRe
     """Check that the monic orthogonal polynomials P_1..P_max_degree are
     orthogonal to every lower degree and have squared norm (1+b)^(j-1)
     under a Gauss rule of the law, to the float tolerance ``tol``."""
+    from . import numerics  # the float layer loads numpy and scipy
+
     rule = numerics.gauss_rule(p, max(11, max_degree + 1))
     orders, residuals, passed = [], [], []
     for j in range(1, max_degree + 1):

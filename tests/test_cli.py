@@ -81,6 +81,15 @@ class TestCumulants:
         assert len(nc["data"]["rows"]) == 24
         assert nc["data"]["rows"] == inv["data"]["rows"]
 
+    @pytest.mark.parametrize("extra", [["--n", "0"], ["--n", "1"], ["--n", "1", "--q", "1/2"],
+                                       ["--n", "25"]])
+    def test_order_outside_range_rejected(self, capsys, extra):
+        code = main(["cumulants", "--a", "1", "--b", "1", *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "order must lie in 2..24" in captured.err
+        assert captured.out == ""
+
     def test_semicircle_method_domain_error(self, capsys):
         code = main(["cumulants", "--a", "0", "--b", "-1/2", "--n", "6",
                      "--method", "semicircle"])

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from conftest import all_set_partitions, catalan, motzkin
 
@@ -101,9 +103,14 @@ class TestEnumeration:
     def test_all_valid(self):
         # the enumerators skip validation; the public constructor re-checks
         # every invariant of what they built
+        order = hashlib.sha256()
         for n in range(10):
             for p in enumerate_nc(n) + enumerate_nc_le2(n):
                 assert Partition(p.n, p.blocks) == p
+                order.update(repr(p.blocks).encode())
+        # the enumeration order is part of the contract, not just the set
+        assert order.hexdigest() == (
+            "7a774460baa8f7e2ed63bb5606b573420d3836776887694c82d394851011ee0e")
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
