@@ -2,8 +2,9 @@
 
 Each ``freemeixner ...`` line of the README's "Command line" block runs
 in-process through ``main(argv)``; its stdout must match the fixture under
-``tests/golden/`` byte for byte.  Regenerate the fixtures (only when an
-output change is intended) with ``python tests/test_golden.py``.
+``tests/golden/`` byte for byte.  ``HIGH_ORDER_EXAMPLES`` pins a few runs at
+the top of the CLI's order range the same way.  Regenerate the fixtures
+(only when an output change is intended) with ``python tests/test_golden.py``.
 """
 
 import contextlib
@@ -17,6 +18,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# Exact runs at the largest order the CLI accepts, on a law with b != 0 and
+# an unequal variance split, so every exact kernel runs with large
+# denominators.
+HIGH_ORDER_EXAMPLES = [
+    ["verify", "--suite", "all", "--a", "5/2", "--b", "1/2", "--alpha", "1/3", "--n", "24"],
+]
 
 
 def readme_examples():
@@ -41,8 +49,7 @@ def test_readme_has_examples():
     assert len(set(paths)) == len(paths)
 
 
-@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
-def test_readme_example_matches_golden(argv, capsys):
+def assert_matches_golden(argv, capsys):
     from freemeixner.cli import main
 
     code = main(argv)
@@ -51,12 +58,22 @@ def test_readme_example_matches_golden(argv, capsys):
     assert out == fixture_path(argv).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_example_matches_golden(argv, capsys):
+    assert_matches_golden(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", HIGH_ORDER_EXAMPLES, ids=" ".join)
+def test_high_order_example_matches_golden(argv, capsys):
+    assert_matches_golden(argv, capsys)
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     from freemeixner.cli import main
 
     GOLDEN.mkdir(exist_ok=True)
-    for argv in readme_examples():
+    for argv in readme_examples() + HIGH_ORDER_EXAMPLES:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = main(argv)
