@@ -15,6 +15,15 @@ which is what the transforms below evaluate; the brute-force partition sum
 stays available through :mod:`freemeixner.ncpart` as an independent check.
 Free cumulants add under free convolution, which makes the convolution
 algebra on cumulant sequences elementwise.
+
+Exact results are Fractions, but the kernels (both transforms, the
+free-pair recursion and the q-cumulant recursion) never build a Fraction
+per step.  Their identities are weighted-homogeneous: give R_k and m_k
+weight k, and every term of an order-n output has weight n.  So each call
+takes L, the common denominator of its rational inputs, scales an input
+of weight k to the integer x * L^k, runs its loop in Python ints, and
+divides each output by its power of L once.  Float inputs run the same
+loops unscaled.
 """
 
 from __future__ import annotations
@@ -23,9 +32,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, OrderCapError
-from .scalars import Scalar, as_scalar, is_exact
+from .scalars import Scalar, as_scalar, common_denominator, is_exact, scaled
 
-# Guards the O(N^3) transforms and the O(N^4) free-pair interval recursion.
+# Largest order the O(N^3) transforms, the q-cumulant recursion and the
+# O(N^4) free-pair interval recursion accept; each checks it before any work.
 MAX_ORDER = 64
 
 
@@ -134,10 +144,21 @@ def _free_transform(values, invert):
     coefficient power[n][0] = 1, so m_n = lower + R_n, where lower sums
     the blocks below n; the inverse reads R_n off that and keeps the
     moments it rebuilds, never the ones it was given.
+
+    Every term of m_n has weight n (block sizes add up to n), so for
+    rational values the loop runs in ints: with L the common denominator,
+    it holds R_n L^n, m_n L^n and power[s][t] L^t, and divides each output
+    by its power of L once.  Float values run the same loop unscaled.
     """
-    one = Fraction(1) if all(is_exact(v) for v in values) else 1.0
+    exact = all(is_exact(v) for v in values)
+    if exact:
+        scale = common_denominator(values)
+        values = [scaled(v, scale, n) for n, v in enumerate(values, start=1)]
+        one = 1
+    else:
+        one = 1.0
     m = [one]
-    r: list[Scalar] = []
+    r = []
     power = [[one]]
     for n, given in enumerate(values, start=1):
         lower = 0
@@ -154,7 +175,11 @@ def _free_transform(values, invert):
         r_n = given - lower if invert else given
         r.append(r_n)
         m.append(lower + r_n)
-    return r if invert else m
+    out = r if invert else m
+    if exact:
+        # r starts at weight 1, m at weight 0
+        out = [Fraction(v, scale ** n) for n, v in enumerate(out, start=int(invert))]
+    return out
 
 
 def cumulants_to_moments(r: CumulantSequence) -> MomentSequence:
@@ -238,13 +263,18 @@ def free_pair_prefix_moments(
                   * m[p_{k-1}+1][p_k] * m[p_k+1][j].
 
     Rows are filled from i = n-1 down to 0, so one pass gives every m[0][j].
-    It costs O(n^4) multiplications at worst and stays exact in Fractions
-    when both cumulant sequences are rational.
+    It costs O(n^4) multiplications at worst.  For rational cumulants the
+    moments are exact Fractions, computed in ints: a term of m[i][j] has
+    weight j - i, so with L the common denominator of the cumulants used,
+    the table holds L^(j-i) m[i][j] and the weights R_k L^k, and each
+    prefix moment is divided by L^j once.  Float cumulants run the same
+    loop unscaled.
     """
     letters = list(word)
     if not letters:
         raise ValueError("word must be nonempty")
     n = len(letters)
+    _check_order(n)
     order = min(x_cum.order, y_cum.order)
     if n > order:
         raise OrderCapError(f"word length {n} exceeds available order {order}")
@@ -253,12 +283,19 @@ def free_pair_prefix_moments(
     except KeyError as exc:
         raise ValueError(f"word symbols must be X, Y or S (got {exc.args[0]!r})") from exc
 
-    xv = x_cum.values
-    yv = y_cum.values
+    # blocks have at most n letters
+    xv = x_cum.values[:n]
+    yv = y_cum.values[:n]
+    exact = x_cum.is_exact and y_cum.is_exact
+    if exact:
+        scale = common_denominator(xv + yv)
+        xv = [scaled(v, scale, k) for k, v in enumerate(xv, start=1)]
+        yv = [scaled(v, scale, k) for k, v in enumerate(yv, start=1)]
+        one, zero = 1, 0
+    else:
+        one, zero = 1.0, 0.0
     # an all-S block sums over both colours
     weights = {1: xv, 2: yv, 3: tuple(a + b for a, b in zip(xv, yv))}
-    exact = x_cum.is_exact and y_cum.is_exact
-    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
     m = [[one] * (n + 1) for _ in range(n + 1)]
     for i in reversed(range(n)):
         # closed[p]: blocks from i to p, weighted, times their inner gaps
@@ -285,6 +322,8 @@ def free_pair_prefix_moments(
                 if closed[p]:
                     acc += closed[p] * m[p + 1][j]
             row[j] = acc
+    if exact:
+        return tuple(Fraction(v, scale ** j) for j, v in enumerate(m[0][1:], start=1))
     return tuple(m[0][1:])
 
 
@@ -316,7 +355,7 @@ def q_factorial(n: int, q) -> Scalar:
 def _q_pascal(n_max: int, q) -> list[list[Scalar]]:
     """Rows 0..n_max of Gaussian binomials by the q-Pascal rule
     [n choose k]_q = [n-1 choose k-1]_q + q^k [n-1 choose k]_q."""
-    one = Fraction(1) if is_exact(q) else 1.0
+    one = q ** 0  # 1 in q's own type, so an int q keeps the table in ints
     rows = [[one]]
     for n in range(1, n_max + 1):
         prev = rows[-1]
@@ -341,6 +380,11 @@ def q_cumulants(a, b, q, order: int) -> CumulantSequence:
 
     for n >= 2.  At q = 0 this reproduces the free cumulants of the
     standardized law with parameters (a, b).
+
+    R_n has weight n - 2 when a has weight 1 and b weight 2, so for
+    rational (a, b, q) the loop runs with a L, b L^2 and R_n L^(n-2), L
+    the common denominator of a and b.  It stays in ints at q = 0 and
+    q = 1; for other rational q the Gaussian binomials stay Fractions.
     """
     a = as_scalar(a)
     b = as_scalar(b)
@@ -351,11 +395,21 @@ def q_cumulants(a, b, q, order: int) -> CumulantSequence:
         raise ValueError(f"order must be >= 2, got {order}")
     _check_order(order)
     exact = is_exact(a) and is_exact(b) and is_exact(q)
-    r: list[Scalar] = [Fraction(0) if exact else 0.0, Fraction(1) if exact else 1.0]
+    if exact:
+        scale = common_denominator((a, b))
+        a, b = scaled(a, scale, 1), scaled(b, scale, 2)
+        if q.denominator == 1:
+            q = q.numerator
+        r = [0, 1]
+    else:
+        r = [0.0, 1.0]
     binom = _q_pascal(order - 2, q)
     for n in range(2, order):
         nxt = a * r[n - 1]
         for j in range(2, n):
             nxt += b * binom[n - 1][j - 1] * r[j - 1] * r[n - j]
         r.append(nxt)
+    if exact:
+        # r[k] holds R_{k+1} L^(k-1); R_1 = 0
+        r = [Fraction(0)] + [Fraction(v, scale ** k) for k, v in enumerate(r[1:])]
     return CumulantSequence(tuple(r))

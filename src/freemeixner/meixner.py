@@ -38,7 +38,7 @@ from .cumulants import (
     q_cumulants,
 )
 from .errors import DomainError
-from .scalars import Scalar, as_scalar, exact_sqrt, is_exact
+from .scalars import Scalar, as_scalar, common_denominator, exact_sqrt, is_exact, scaled
 
 _ATOM_WEIGHT_FLOOR = 1e-12
 # Relative rounding allowance for the terms of an atom's residue numerator.
@@ -277,12 +277,23 @@ def moments(p: MeixnerParams, order: int) -> MomentSequence:
     obtained by isolating the j = 0 term of the conditional-variance
     recursion; at b = -1 the law is two atoms on the roots of
     x^2 - a x - 1, so m_{n+2} = a m_{n+1} + m_n instead.
+
+    For rational (a, b) the recursion runs in ints on M_n = L^n m_n, L the
+    common denominator of a and b; it multiplies through by L^(n+2), which
+    turns a into a L and the constant terms into L^2 times M.  Only b has
+    no spare factor of L, so the b-sum sum_j M_j M_{n+2-j} is kept on its
+    own and multiplied by b with one division by den(b) per order.  That
+    division is exact: by induction on the recursion (each of its terms
+    times L^n is an integer), m_k L^(k-2) is an integer for k >= 2, so
+    M_k is L^2 times an integer, M_1 = 0, and every product in the b-sum
+    is a multiple of L^4.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     a, b = p.a, p.b
-    one = Fraction(1) if p.is_exact else 1.0
-    m: list[Scalar] = [one, 0 * one]
+    if p.is_exact:
+        return MomentSequence(_exact_moments(a, b, order))
+    m: list[Scalar] = [1.0, 0.0]
     if b == -1:
         while len(m) < order + 1:
             m.append(a * m[-1] + m[-2])
@@ -293,6 +304,26 @@ def moments(p: MeixnerParams, order: int) -> MomentSequence:
                 nxt += m[j] * (m[n - j] + a * m[n + 1 - j] + b * m[n + 2 - j])
             m.append(nxt)
     return MomentSequence(tuple(m[: order + 1]))
+
+
+def _exact_moments(a, b, order: int) -> list[Fraction]:
+    """:func:`moments` for rational (a, b), on the ints M_n = L^n m_n."""
+    scale = common_denominator((a, b))
+    a_l = scaled(a, scale, 1)
+    l2 = scale * scale
+    m = [1, 0]
+    if b == -1:
+        while len(m) < order + 1:
+            m.append(a_l * m[-1] + l2 * m[-2])
+    else:
+        for n in range(order - 1):
+            nxt = l2 * m[n] + a_l * m[n + 1]
+            b_sum = 0
+            for j in range(1, n + 1):
+                nxt += m[j] * (l2 * m[n - j] + a_l * m[n + 1 - j])
+                b_sum += m[j] * m[n + 2 - j]
+            m.append(nxt + b.numerator * (b_sum // b.denominator))
+    return [Fraction(v, scale ** n) for n, v in enumerate(m[: order + 1])]
 
 
 def semicircle_moments(w: SemicircleParams, order: int) -> MomentSequence:

@@ -3,6 +3,11 @@
 Rational inputs stay rational (``fractions.Fraction``) so that identity
 checks can demand equality instead of tolerances; anything else degrades to
 ``float``.  Mixed arithmetic follows Python's own promotion rules.
+
+The exact kernels compute in Python ints rather than Fractions: they pick
+one common denominator L per call, scale an input of weight k to the
+integer x * L^k (:func:`scaled`), and divide each output by its power of L
+once at the end.
 """
 
 from __future__ import annotations
@@ -28,6 +33,17 @@ def as_scalar(x) -> Scalar:
 
 def is_exact(x) -> bool:
     return isinstance(x, (Integral, Rational)) and not isinstance(x, bool)
+
+
+def common_denominator(values) -> int:
+    """Least common multiple of the denominators of exact ``values``."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def scaled(x, scale: int, k: int) -> int:
+    """The integer x * scale^k for exact x whose denominator divides
+    ``scale``, with k >= 1."""
+    return x.numerator * (scale // x.denominator) * scale ** (k - 1)
 
 
 def exact_sqrt(x) -> Scalar:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import settings
 
 from freemeixner import enumerate_nc, enumerate_nc_le2
+from freemeixner.scalars import Scalar, as_scalar, is_exact
 
 # Property tests draw the same examples on every run and stay inside the
 # suite's time budget; a test may still ask for fewer examples.
@@ -140,3 +141,120 @@ def nc_pair_moment_oracle(x_values, y_values, word):
                 prod *= x_values[k] + y_values[k]
         total += prod
     return total
+
+
+# The Fraction loops the exact kernels ran before they moved to scaled
+# ints, kept verbatim (argument checks dropped) as references: on rational
+# input the kernels must return equal Fractions, on float input the same
+# float bits.
+
+
+def fraction_free_transform(values, invert):
+    """Reference for ``cumulants._free_transform``."""
+    one = Fraction(1) if all(is_exact(v) for v in values) else 1.0
+    m = [one]
+    r: list[Scalar] = []
+    power = [[one]]
+    for n, given in enumerate(values, start=1):
+        lower = 0
+        for s in range(1, n):
+            t = n - s
+            prev = power[s - 1]
+            acc = 0
+            for j in range(t + 1):
+                acc += prev[t - j] * m[j]
+            power[s].append(acc)
+            lower += r[s - 1] * acc
+        power.append([one])  # [z^0] M^n = 1
+        power[0].append(0)  # [z^n] M^0 = 0
+        r_n = given - lower if invert else given
+        r.append(r_n)
+        m.append(lower + r_n)
+    return r if invert else m
+
+
+_LETTER_COLOURS = {"X": 1, "Y": 2, "S": 3}
+
+
+def fraction_pair_prefix_moments(x_cum, y_cum, word):
+    """Reference for ``cumulants.free_pair_prefix_moments``."""
+    letters = list(word)
+    n = len(letters)
+    colours = [_LETTER_COLOURS[w] for w in letters]
+
+    xv = x_cum.values
+    yv = y_cum.values
+    # an all-S block sums over both colours
+    weights = {1: xv, 2: yv, 3: tuple(a + b for a, b in zip(xv, yv))}
+    exact = x_cum.is_exact and y_cum.is_exact
+    one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
+    m = [[one] * (n + 1) for _ in range(n + 1)]
+    for i in reversed(range(n)):
+        # closed[p]: blocks from i to p, weighted, times their inner gaps
+        closed = [zero] * n
+        # open chains i = p_1 < ... < p_k = p keyed by (p, admissible colours)
+        chains = {(i, colours[i]): one}
+        for k in range(n - i):
+            grown = {}
+            for (q, c), v in chains.items():
+                r = weights[c][k]
+                if r:
+                    closed[q] += r * v
+                gaps = m[q + 1]
+                for p in range(q + 1, n):
+                    c2 = c & colours[p]
+                    if c2 and gaps[p]:
+                        key = (p, c2)
+                        grown[key] = grown.get(key, zero) + v * gaps[p]
+            chains = grown
+        row = m[i]
+        for j in range(i + 1, n + 1):
+            acc = zero
+            for p in range(i, j):
+                if closed[p]:
+                    acc += closed[p] * m[p + 1][j]
+            row[j] = acc
+    return tuple(m[0][1:])
+
+
+def fraction_q_pascal(n_max, q):
+    """Reference for ``cumulants._q_pascal``."""
+    one = Fraction(1) if is_exact(q) else 1.0
+    rows = [[one]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+        rows.append([one] + [prev[k - 1] + q ** k * prev[k] for k in range(1, n)] + [one])
+    return rows
+
+
+def fraction_q_cumulants(a, b, q, order):
+    """Reference for ``cumulants.q_cumulants``: (R_1, ..., R_order)."""
+    a = as_scalar(a)
+    b = as_scalar(b)
+    q = as_scalar(q)
+    exact = is_exact(a) and is_exact(b) and is_exact(q)
+    r: list[Scalar] = [Fraction(0) if exact else 0.0, Fraction(1) if exact else 1.0]
+    binom = fraction_q_pascal(order - 2, q)
+    for n in range(2, order):
+        nxt = a * r[n - 1]
+        for j in range(2, n):
+            nxt += b * binom[n - 1][j - 1] * r[j - 1] * r[n - j]
+        r.append(nxt)
+    return tuple(r)
+
+
+def fraction_moments(p, order):
+    """Reference for ``meixner.moments``: (m_0, ..., m_order)."""
+    a, b = p.a, p.b
+    one = Fraction(1) if p.is_exact else 1.0
+    m: list[Scalar] = [one, 0 * one]
+    if b == -1:
+        while len(m) < order + 1:
+            m.append(a * m[-1] + m[-2])
+    else:
+        for n in range(order - 1):
+            nxt = m[n] + a * m[n + 1]
+            for j in range(1, n + 1):
+                nxt += m[j] * (m[n - j] + a * m[n + 1 - j] + b * m[n + 2 - j])
+            m.append(nxt)
+    return tuple(m[: order + 1])

@@ -1,0 +1,190 @@
+"""The exact kernels against the Fraction loops they replaced.
+
+Each kernel computes on ints over one common denominator.  On rational
+input its results must equal the Fraction reference in ``conftest`` and be
+Fractions; on float input they must carry the same bits.  The inputs mix
+zeros, negative values and large coprime denominators, so a wrong power of
+the denominator cannot cancel.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from conftest import (
+    fraction_free_transform,
+    fraction_moments,
+    fraction_pair_prefix_moments,
+    fraction_q_cumulants,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freemeixner import (
+    MAX_ORDER,
+    CumulantSequence,
+    MeixnerParams,
+    MomentSequence,
+    OrderCapError,
+    cumulants_to_moments,
+    free_pair_prefix_moments,
+    moments,
+    moments_to_cumulants,
+    q_cumulants,
+)
+
+PRIMES = (7, 9973, 65537, 999983, 2147483647)
+RATIONALS = st.one_of(
+    st.just(F(0)),
+    st.integers(-9, 9).map(F),
+    st.builds(F, st.integers(-10**6, 10**6), st.sampled_from(PRIMES)),
+)
+FLOATS = st.one_of(st.just(0.0), st.just(-0.0), st.floats(min_value=-4, max_value=4))
+
+
+def assert_exact_equal(got, want):
+    assert list(got) == list(want)
+    assert all(type(v) is F for v in got)
+
+
+def assert_same_bits(got, want):
+    assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+
+
+class TestTransforms:
+    @given(st.lists(RATIONALS, min_size=1, max_size=24))
+    def test_exact_both_directions(self, values):
+        got = cumulants_to_moments(CumulantSequence(values)).values
+        assert_exact_equal(got, fraction_free_transform(values, invert=False))
+        got = moments_to_cumulants(MomentSequence([1] + values)).values
+        assert_exact_equal(got, fraction_free_transform(values, invert=True))
+
+    @settings(max_examples=3)
+    @given(st.lists(RATIONALS, min_size=MAX_ORDER, max_size=MAX_ORDER))
+    def test_exact_at_max_order(self, values):
+        got = cumulants_to_moments(CumulantSequence(values)).values
+        assert_exact_equal(got, fraction_free_transform(values, invert=False))
+        got = moments_to_cumulants(MomentSequence([1] + values)).values
+        assert_exact_equal(got, fraction_free_transform(values, invert=True))
+
+    @given(st.lists(FLOATS, min_size=1, max_size=MAX_ORDER))
+    def test_float_bits(self, values):
+        got = cumulants_to_moments(CumulantSequence(values)).values
+        assert_same_bits(got, fraction_free_transform(values, invert=False))
+        got = moments_to_cumulants(MomentSequence([1.0] + values)).values
+        assert_same_bits(got, fraction_free_transform(values, invert=True))
+
+
+# b as a function of a and a free draw v: the two-atom edge b = -1, b = 0,
+# the parabola a^2 = 4b, and anywhere in b >= -1.
+B_RULES = {
+    "b=-1": lambda a, v: 0 * a - 1,
+    "b=0": lambda a, v: 0 * a,
+    "a^2=4b": lambda a, v: a * a / 4,
+    "b>=-1": lambda a, v: abs(v) - 1,
+}
+
+
+class TestMoments:
+    @pytest.mark.parametrize("rule", B_RULES.values(), ids=B_RULES.keys())
+    @given(RATIONALS, RATIONALS, st.integers(2, 40))
+    def test_exact(self, rule, a, v, order):
+        p = MeixnerParams(a, rule(a, v))
+        assert_exact_equal(moments(p, order).values, fraction_moments(p, order))
+
+    @pytest.mark.parametrize("rule", B_RULES.values(), ids=B_RULES.keys())
+    @given(FLOATS, FLOATS, st.integers(2, 40))
+    def test_float_bits(self, rule, a, v, order):
+        p = MeixnerParams(a, rule(a, v))
+        assert_same_bits(moments(p, order).values, fraction_moments(p, order))
+
+
+Q_VALUES = (F(0), F(1), F(1, 2), F(-1, 3))
+
+
+class TestQCumulants:
+    @given(RATIONALS, RATIONALS, st.sampled_from(Q_VALUES), st.integers(2, 32))
+    def test_exact(self, a, b, q, order):
+        got = q_cumulants(a, b, q, order).values
+        assert_exact_equal(got, fraction_q_cumulants(a, b, q, order))
+
+    @given(FLOATS, FLOATS, st.sampled_from(Q_VALUES).map(float), st.integers(2, 32))
+    def test_float_bits(self, a, b, q, order):
+        assert_same_bits(q_cumulants(a, b, q, order).values,
+                         fraction_q_cumulants(a, b, q, order))
+
+
+@st.composite
+def pair_cases(draw, values):
+    """A word over {X, Y, S} of length 1..12 and two cumulant sequences at
+    least as long as the word."""
+    word = draw(st.text(alphabet="XYS", min_size=1, max_size=12))
+    n = len(word) + draw(st.integers(0, 2))
+    x = draw(st.lists(values, min_size=n, max_size=n))
+    y = draw(st.lists(values, min_size=n, max_size=n))
+    return word, CumulantSequence(x), CumulantSequence(y)
+
+
+class TestFreePair:
+    @given(pair_cases(RATIONALS))
+    def test_exact(self, case):
+        word, x, y = case
+        got = free_pair_prefix_moments(x, y, word)
+        assert_exact_equal(got, fraction_pair_prefix_moments(x, y, word))
+
+    @given(pair_cases(FLOATS))
+    def test_float_bits(self, case):
+        word, x, y = case
+        got = free_pair_prefix_moments(x, y, word)
+        assert_same_bits(got, fraction_pair_prefix_moments(x, y, word))
+
+    def test_word_beyond_max_order_is_refused(self):
+        n = MAX_ORDER + 1
+        r = CumulantSequence([F(1, 3)] * n)
+        with pytest.raises(OrderCapError, match="exceeds the supported cap"):
+            free_pair_prefix_moments(r, r, "S" * n)
+
+
+FRACTION_OPS = ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__rsub__")
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """A one-element list counting Fraction additions, multiplications
+    and subtractions from here on."""
+    count = [0]
+
+    def counted(op):
+        def wrapper(self, other):
+            count[0] += 1
+            return op(self, other)
+        return wrapper
+
+    for name in FRACTION_OPS:
+        monkeypatch.setattr(F, name, counted(getattr(F, name)))
+    return count
+
+
+LAW = MeixnerParams(F(5, 2), F(1, 2))
+R32 = CumulantSequence([F(0), F(1)] + [F(k, 3**k) for k in range(1, 31)])
+M32 = MomentSequence([F(1)] + [F(k % 5 - 2, 7 * k) for k in range(1, 33)])
+X17 = CumulantSequence([F(k - 8, 11) for k in range(17)])
+Y17 = CumulantSequence([F(2, 13 + k) for k in range(17)])
+
+
+@pytest.mark.parametrize(
+    "kernel, order",
+    [
+        (lambda: cumulants_to_moments(R32), 32),
+        (lambda: moments_to_cumulants(M32), 32),
+        (lambda: q_cumulants(LAW.a, LAW.b, 0, 32), 32),
+        (lambda: moments(LAW, 32), 32),
+        (lambda: free_pair_prefix_moments(X17, Y17, "X" + "S" * 16), 17),
+    ],
+    ids=["cumulants_to_moments", "moments_to_cumulants", "q_cumulants", "moments",
+         "free_pair_prefix_moments"],
+)
+def test_fraction_arithmetic_is_bounded_by_order(kernel, order, fraction_ops):
+    """A kernel does at most ``order`` Fraction operations per call: its
+    loops run on ints, not on a Fraction per step."""
+    kernel()
+    assert fraction_ops[0] <= order
