@@ -40,7 +40,10 @@ MAX_ORDER = 64
 
 
 def _coerce_values(values):
-    return tuple(as_scalar(v) for v in values)
+    # From a list, not a generator: tuple() over a generator guesses a size
+    # and shrinks the tuple, so each one ends up on CPython's free list for
+    # its final size, and those lists grow until a full collection.
+    return tuple([as_scalar(v) for v in values])
 
 
 @dataclass(frozen=True)
@@ -295,7 +298,7 @@ def free_pair_prefix_moments(
     else:
         one, zero = 1.0, 0.0
     # an all-S block sums over both colours
-    weights = {1: xv, 2: yv, 3: tuple(a + b for a, b in zip(xv, yv))}
+    weights = {1: xv, 2: yv, 3: [a + b for a, b in zip(xv, yv)]}
     m = [[one] * (n + 1) for _ in range(n + 1)]
     for i in reversed(range(n)):
         # closed[p]: blocks from i to p, weighted, times their inner gaps
@@ -322,9 +325,10 @@ def free_pair_prefix_moments(
                 if closed[p]:
                     acc += closed[p] * m[p + 1][j]
             row[j] = acc
+    out = m[0][1:]
     if exact:
-        return tuple(Fraction(v, scale ** j) for j, v in enumerate(m[0][1:], start=1))
-    return tuple(m[0][1:])
+        out = [Fraction(v, scale ** j) for j, v in enumerate(out, start=1)]
+    return tuple(out)
 
 
 def free_pair_moment(x_cum: CumulantSequence, y_cum: CumulantSequence, word) -> Scalar:

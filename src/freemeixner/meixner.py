@@ -278,15 +278,17 @@ def moments(p: MeixnerParams, order: int) -> MomentSequence:
     recursion; at b = -1 the law is two atoms on the roots of
     x^2 - a x - 1, so m_{n+2} = a m_{n+1} + m_n instead.
 
-    For rational (a, b) the recursion runs in ints on M_n = L^n m_n, L the
-    common denominator of a and b; it multiplies through by L^(n+2), which
-    turns a into a L and the constant terms into L^2 times M.  Only b has
-    no spare factor of L, so the b-sum sum_j M_j M_{n+2-j} is kept on its
-    own and multiplied by b with one division by den(b) per order.  That
-    division is exact: by induction on the recursion (each of its terms
-    times L^n is an integer), m_k L^(k-2) is an integer for k >= 2, so
-    M_k is L^2 times an integer, M_1 = 0, and every product in the b-sum
-    is a multiple of L^4.
+    For rational (a, b) it runs in ints on M_n = L^n m_n, L the common
+    denominator of a and b.  Times L^(n+2) the recursion reads
+
+        M_{n+2} = L^2 M_n + aL M_{n+1}
+                  + sum_j M_j (L^2 M_{n-j} + aL M_{n+1-j}) + b sum_j M_j M_{n+2-j},
+
+    so the b-sum is kept on its own and multiplied by b through one
+    division by den(b) per order.  That division is exact: m_k L^(k-2) is
+    an integer for k >= 2 (by induction: times L^n, every term of the
+    recursion for m_{n+2} is an integer), so M_k is L^2 times an integer,
+    M_1 = 0, and every product in the b-sum is a multiple of L^4.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")

@@ -3,11 +3,6 @@
 Rational inputs stay rational (``fractions.Fraction``) so that identity
 checks can demand equality instead of tolerances; anything else degrades to
 ``float``.  Mixed arithmetic follows Python's own promotion rules.
-
-The exact kernels compute in Python ints rather than Fractions: they pick
-one common denominator L per call, scale an input of weight k to the
-integer x * L^k (:func:`scaled`), and divide each output by its power of L
-once at the end.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ def is_exact(x) -> bool:
 
 def common_denominator(values) -> int:
     """Least common multiple of the denominators of exact ``values``."""
-    return math.lcm(*(v.denominator for v in values))
+    return math.lcm(*[v.denominator for v in values])
 
 
 def scaled(x, scale: int, k: int) -> int:
