@@ -2,7 +2,7 @@
 
 Each ``freemeixner ...`` line of the README's "Command line" block runs
 in-process through ``main(argv)``; its stdout must match the fixture under
-``tests/golden/`` byte for byte.  ``HIGH_ORDER_EXAMPLES`` pins a few runs at
+``tests/golden/`` byte for byte.  ``HIGH_ORDER_EXAMPLES`` pins runs at
 the top of the CLI's order range the same way.  Regenerate the fixtures
 (only when an output change is intended) with ``python tests/test_golden.py``.
 """
@@ -20,8 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Exact runs at the largest order the CLI accepts, on a law with b != 0 and
-# an unequal variance split, so every exact kernel runs with large
-# denominators.
+# an unequal variance split, so every exact kernel scales by a common
+# denominator other than 1.
 HIGH_ORDER_EXAMPLES = [
     ["verify", "--suite", "all", "--a", "5/2", "--b", "1/2", "--alpha", "1/3", "--n", "24"],
 ]
