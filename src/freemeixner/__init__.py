@@ -6,9 +6,7 @@ partitions, moment/cumulant transforms, the free convolution algebra, the
 conditional-moment verifiers) and a floating-point analytic layer (Cauchy
 and R transforms, densities with atoms, Gauss quadrature, Stieltjes
 inversion).  Rational inputs stay rational all the way through the exact
-layer.  The six float-layer names from ``numerics`` (``gauss_rule`` and
-the rest) load on first use, because numpy and ``scipy.linalg`` would
-otherwise be most of the import time of the exact layer and the CLI.
+layer.  The package needs only the standard library.
 """
 
 from .cumulants import (
@@ -67,6 +65,14 @@ from .ncpart import (
     is_crossing,
     singleton_count,
 )
+from .numerics import (
+    IntegralEstimate,
+    QuadratureRule,
+    gauss_rule,
+    integrate_against_law,
+    panel_integral,
+    stieltjes_invert,
+)
 from .verify import (
     RegressionReport,
     build_free_pair,
@@ -81,24 +87,4 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-_FLOAT_NAMES = (
-    "IntegralEstimate",
-    "QuadratureRule",
-    "gauss_rule",
-    "integrate_against_law",
-    "panel_integral",
-    "stieltjes_invert",
-)
-
 __all__ = [name for name in dir() if not name.startswith("_")]
-__all__ += ["numerics", *_FLOAT_NAMES]
-
-
-def __getattr__(name):
-    """Import the float layer when one of its names is first looked up."""
-    if name not in _FLOAT_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import numerics
-
-    value = globals()[name] = getattr(numerics, name)
-    return value

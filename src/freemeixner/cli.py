@@ -21,7 +21,7 @@ from fractions import Fraction
 # ("-1-2j") as option values rather than mistaking them for flags
 _NEGATIVE_VALUE = re.compile(r"^-[0-9.+\-/jJeE]+$")
 
-from . import meixner, verify
+from . import meixner, numerics, verify
 from .cumulants import (
     convolution_power,
     cumulants_to_moments,
@@ -298,8 +298,6 @@ def cmd_transform(opts):
         data["r"] = None
         data["r_error"] = str(exc)
     if opts.get("eps") is not None and z.imag == 0:
-        from . import numerics  # the float layer loads numpy and scipy
-
         data["smoothed_density"] = numerics.stieltjes_invert(p, z.real, opts["eps"])
     return data, ["cauchy-transform", "r-transform"], 0
 

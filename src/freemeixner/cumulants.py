@@ -126,10 +126,10 @@ class FreePairSpec:
         return self.s_cumulants.order
 
     def x_cumulants(self) -> CumulantSequence:
-        return CumulantSequence(tuple(self.alpha * r for r in self.s_cumulants.values))
+        return CumulantSequence([self.alpha * r for r in self.s_cumulants.values])
 
     def y_cumulants(self) -> CumulantSequence:
-        return CumulantSequence(tuple(self.beta * r for r in self.s_cumulants.values))
+        return CumulantSequence([self.beta * r for r in self.s_cumulants.values])
 
 
 def _check_order(n):
@@ -211,7 +211,7 @@ def free_convolve(r1: CumulantSequence, r2: CumulantSequence) -> CumulantSequenc
     """Cumulants of X + Y for free X, Y: elementwise sum."""
     if r1.order != r2.order:
         raise ValueError(f"order mismatch: {r1.order} vs {r2.order}")
-    return CumulantSequence(tuple(a + b for a, b in zip(r1.values, r2.values)))
+    return CumulantSequence([a + b for a, b in zip(r1.values, r2.values)])
 
 
 def convolution_power(r: CumulantSequence, t, formal: bool = False) -> CumulantSequence:
@@ -226,13 +226,13 @@ def convolution_power(r: CumulantSequence, t, formal: bool = False) -> CumulantS
             f"free convolution power requires t >= 1 (got {t}); "
             "set formal=True for formal cumulant scaling"
         )
-    return CumulantSequence(tuple(t * v for v in r.values))
+    return CumulantSequence([t * v for v in r.values])
 
 
 def dilate(r: CumulantSequence, lam) -> CumulantSequence:
     """Cumulants of the pushforward under x -> lam * x: R_n -> lam^n R_n."""
     lam = as_scalar(lam)
-    return CumulantSequence(tuple(lam ** n * v for n, v in enumerate(r.values, start=1)))
+    return CumulantSequence([lam ** n * v for n, v in enumerate(r.values, start=1)])
 
 
 def translate(r: CumulantSequence, c) -> CumulantSequence:

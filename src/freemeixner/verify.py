@@ -30,7 +30,8 @@ from .cumulants import (
     free_pair_prefix_moments,
 )
 from .errors import DomainError, OrderCapError
-from .meixner import LevyParams, MeixnerParams, cumulants, orthogonal_polynomial
+from .meixner import LevyParams, MeixnerParams, cumulants
+from .numerics import gauss_rule
 from .scalars import Scalar, as_scalar, exact_sqrt, is_exact
 
 FLOAT_TOLERANCE = 1e-10
@@ -108,13 +109,13 @@ def build_free_pair(alpha, p: MeixnerParams, order: int) -> FreePairSpec:
         raise DomainError(
             f"infeasible split: b = {p.b} violates b >= -min(alpha, 1-alpha) = {bound}"
         )
-    return FreePairSpec(cumulants(p, order, method="from_moments"), alpha)
+    return FreePairSpec(cumulants(p, order), alpha)
 
 
 def _pair_moments(pair: FreePairSpec):
     x = pair.x_cumulants()
     y = pair.y_cumulants()
-    s = CumulantSequence(tuple(a + b for a, b in zip(x.values, y.values)))
+    s = CumulantSequence([a + b for a, b in zip(x.values, y.values)])
     return x, y, cumulants_to_moments(s)
 
 
@@ -204,7 +205,12 @@ def verify_moment_recursion(p: MeixnerParams, order: int) -> RegressionReport:
 
         (1+b) m_{n+2} = sum_{j=0}^{n} m_j (m_{n-j} + a m_{n+1-j} + b m_{n+2-j})
 
-    at every order up to ``order``."""
+    at every order up to ``order``.
+
+    The cumulants come from the q = 0 recursion, the same route
+    ``build_free_pair`` and ``verify_levy_martingale`` take, while
+    ``meixner.moments`` runs this moment recursion directly; so this stays
+    the check that the two agree."""
     if p.b == -1:
         raise DomainError("the moment recursion is degenerate at b = -1")
     a, b = p.a, p.b
@@ -234,31 +240,38 @@ def verify_levy_martingale(l: LevyParams, s, u, order: int) -> RegressionReport:
     u = as_scalar(u)
     if not 0 < s < u:
         raise DomainError(f"need 0 < s < u, got s={s}, u={u}")
-    base = cumulants(MeixnerParams(l.eta, l.sigma), order + 1, method="from_moments")
-    pair = FreePairSpec(
-        CumulantSequence(tuple(u * r for r in base.values)), alpha=s / u
-    )
+    base = cumulants(MeixnerParams(l.eta, l.sigma), order + 1)
+    pair = FreePairSpec(CumulantSequence([u * r for r in base.values]), alpha=s / u)
     return replace(verify_linear_regression(pair, order), identity="levy-martingale")
 
 
 def verify_orthogonality(p: MeixnerParams, max_degree: int, tol) -> RegressionReport:
     """Check that the monic orthogonal polynomials P_1..P_max_degree are
     orthogonal to every lower degree and have squared norm (1+b)^(j-1)
-    under a Gauss rule of the law, to the float tolerance ``tol``."""
-    from . import numerics  # the float layer loads numpy and scipy
+    under a Gauss rule of the law, to the float tolerance ``tol``.
 
-    rule = numerics.gauss_rule(p, max(11, max_degree + 1))
+    P_0..P_max_degree are evaluated at every node at once by the
+    three-term recurrence P_{k+1} = (x - a) P_k - c_k P_{k-1}, with P_1 = x,
+    c_1 = 1 and c_k = 1 + b after that."""
+    rule = gauss_rule(p, max(11, max_degree + 1))
+    nodes, weights = rule.nodes, rule.weights
+    a = float(p.a)
+    spread = float(1 + p.b)
+    values = [[1.0] * len(nodes), list(nodes)]  # values[k][i] = P_k(nodes[i])
+    for k in range(1, max_degree):
+        off = 1.0 if k == 1 else spread
+        values.append(
+            [(x - a) * pk - off * pl for x, pk, pl in zip(nodes, values[k], values[k - 1])]
+        )
     orders, residuals, passed = [], [], []
     for j in range(1, max_degree + 1):
+        pj = values[j]
         worst = 0.0
         for i in range(j):
-            val = rule.integrate(
-                lambda x: float(orthogonal_polynomial(p, i, x))
-                * float(orthogonal_polynomial(p, j, x))
-            )
+            val = sum([w * (u * v) for w, u, v in zip(weights, values[i], pj)])
             worst = max(worst, abs(val))
-        norm = rule.integrate(lambda x: float(orthogonal_polynomial(p, j, x)) ** 2)
-        expected = float((1 + p.b)) ** (j - 1)
+        norm = sum([w * v ** 2 for w, v in zip(weights, pj)])
+        expected = spread ** (j - 1)
         worst = max(worst, abs(norm - expected) / max(1.0, expected))
         orders.append(j)
         residuals.append(worst)

@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from conftest import GRID_POINTS
+from scipy.linalg import eigh_tridiagonal
 
 import freemeixner.numerics as numerics_module
 from freemeixner import (
@@ -14,10 +16,22 @@ from freemeixner import (
     atoms,
     gauss_rule,
     integrate_against_law,
+    jacobi_coefficients,
     moments,
     panel_integral,
     stieltjes_invert,
 )
+
+# b = -1 with a != 0, b just above -1, a^2 = 4b -/+ eps, and an atom
+# just off the support edge (a = 1.02, b = 0)
+EDGE_LAWS = [
+    (F(1), F(-1)),
+    (F(1), F(-999, 1000)),
+    (2.0, 1.0 - 1e-9),
+    (2.0, 1.0 + 1e-9),
+    (F(51, 50), F(0)),
+]
+RULE_SIZES = (1, 2, 9, 17, 32, 64)
 
 
 def law(a, b):
@@ -75,6 +89,52 @@ class TestGaussRule:
             got = rule.integrate(lambda x: x ** n)
             expect = float(ms.moment(n))
             assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
+
+
+def scipy_rule(p, n):
+    """Ascending eigenvalues and squared first eigenvector components."""
+    diag, off = jacobi_coefficients(p, n)
+    d = np.array([float(v) for v in diag])
+    if n == 1:
+        return d.tolist(), [1.0]
+    vals, vecs = eigh_tridiagonal(d, np.array([float(v) for v in off]))
+    order = np.argsort(vals)
+    return vals[order].tolist(), (vecs[0, order] ** 2).tolist()
+
+
+class TestGolubWelsch:
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    @pytest.mark.parametrize("a,b", GRID_POINTS + EDGE_LAWS)
+    def test_matches_scipy(self, a, b, n):
+        p = MeixnerParams(a, b)
+        nodes, weights = numerics_module._tridiagonal_eigen(*jacobi_coefficients(p, n))
+        ref_nodes, ref_weights = scipy_rule(p, n)
+        scale = 1.0 + max(abs(x) for x in ref_nodes)
+        assert max(abs(x - y) for x, y in zip(nodes, ref_nodes)) <= 1e-13 * scale
+        assert max(abs(w - v) for w, v in zip(weights, ref_weights)) <= 1e-13
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    @pytest.mark.parametrize("a,b", GRID_POINTS + EDGE_LAWS)
+    def test_moments_match_exact(self, a, b, n):
+        p = MeixnerParams(a, b)
+        rule = gauss_rule(p, n)
+        top = min(2 * n - 1, 40)
+        ms = moments(p, top)
+        largest = 1.0
+        for k in range(top + 1):
+            expect = float(ms.moment(k))
+            largest = max(largest, abs(expect))
+            assert abs(rule.integrate(lambda x: x ** k) - expect) <= 1e-12 * largest
+
+    def test_legendre_rule_matches_numpy(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        assert max(abs(x - y) for x, y in zip(numerics_module._GL_NODES, nodes)) <= 1e-15
+        assert max(abs(w - v) for w, v in zip(numerics_module._GL_WEIGHTS, weights)) <= 1e-15
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics_module, "_MAX_QL_SWEEPS", 0)
+        with pytest.raises(NumericError, match="did not converge"):
+            gauss_rule(MeixnerParams(1, 1), 9)
 
 
 class TestPanelIntegration:
