@@ -256,7 +256,7 @@ def cmd_atoms(opts):
 def cmd_convolve_power(opts):
     p = MeixnerParams(opts["a"], opts["b"])
     n = _check_order(opts["n"])
-    base = meixner.cumulants(p, max(n, 2), method="from_moments")
+    base = meixner.cumulants(p, max(n, 2))
     scaled = convolution_power(base, opts["t"])
     ms = cumulants_to_moments(scaled)
     data = {
@@ -272,7 +272,7 @@ def cmd_levy(opts):
     t = opts["t"]
     marginal, dilation = meixner.levy_marginal(l, t)
     n = _check_order(opts["n"])
-    base = meixner.cumulants(MeixnerParams(l.eta, l.sigma), max(n, 2), method="from_moments")
+    base = meixner.cumulants(MeixnerParams(l.eta, l.sigma), max(n, 2))
     ms = cumulants_to_moments(convolution_power(base, t, formal=True))
     data = {
         "marginal_params": [_cell(marginal.a), _cell(marginal.b)],

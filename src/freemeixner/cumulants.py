@@ -20,10 +20,11 @@ Exact results are Fractions, but the kernels (both transforms, the
 free-pair recursion and the q-cumulant recursion) never build a Fraction
 per step.  Their identities are weighted-homogeneous: give R_k and m_k
 weight k, and every term of an order-n output has weight n.  So each call
-takes L, the common denominator of its rational inputs, scales an input
-of weight k to the integer x * L^k, runs its loop in Python ints, and
-divides each output by its power of L once.  Float inputs run the same
-loops unscaled.
+takes an integer L that makes x * L^k an integer for each rational input x
+of weight k (``scalars.weight_denominator``), scales its inputs to those
+integers, runs its loop in Python ints, and divides each output by its
+power of L once.
+Float inputs run the same loops unscaled.
 """
 
 from __future__ import annotations
@@ -32,7 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, OrderCapError
-from .scalars import Scalar, as_scalar, common_denominator, is_exact, scaled
+from .scalars import (
+    Scalar,
+    as_scalar,
+    is_exact,
+    scaled,
+    weight_denominator,
+)
 
 # Largest order the O(N^3) transforms, the q-cumulant recursion and the
 # O(N^4) free-pair interval recursion accept; each checks it before any work.
@@ -129,7 +136,8 @@ class FreePairSpec:
         return CumulantSequence([self.alpha * r for r in self.s_cumulants.values])
 
     def y_cumulants(self) -> CumulantSequence:
-        return CumulantSequence([self.beta * r for r in self.s_cumulants.values])
+        beta = self.beta
+        return CumulantSequence([beta * r for r in self.s_cumulants.values])
 
 
 def _check_order(n):
@@ -137,29 +145,9 @@ def _check_order(n):
         raise OrderCapError(f"order {n} exceeds the supported cap {MAX_ORDER}")
 
 
-def _free_transform(values, invert):
-    """Moments from cumulants, or cumulants from moments when ``invert``.
-
-    ``values`` holds (R_1, ..., R_N), or (m_1, ..., m_N) when inverting;
-    returns (m_0, ..., m_N) or (R_1, ..., R_N).  The table
-    power[s][t] = [z^t] M(z)^s depends only on m_0..m_t, so it grows one
-    anti-diagonal s + t = n per order.  The full block enters m_n with
-    coefficient power[n][0] = 1, so m_n = lower + R_n, where lower sums
-    the blocks below n; the inverse reads R_n off that and keeps the
-    moments it rebuilds, never the ones it was given.
-
-    Every term of m_n has weight n (block sizes add up to n), so for
-    rational values the loop runs in ints: with L the common denominator,
-    it holds R_n L^n, m_n L^n and power[s][t] L^t, and divides each output
-    by its power of L once.  Float values run the same loop unscaled.
-    """
-    exact = all(is_exact(v) for v in values)
-    if exact:
-        scale = common_denominator(values)
-        values = [scaled(v, scale, n) for n, v in enumerate(values, start=1)]
-        one = 1
-    else:
-        one = 1.0
+def _transform_loop(values, invert, one):
+    """The loop of :func:`_free_transform` on values it does not rescale:
+    ints R_n L^n (or m_n L^n) give ints m_n L^n (or R_n L^n)."""
     m = [one]
     r = []
     power = [[one]]
@@ -178,11 +166,33 @@ def _free_transform(values, invert):
         r_n = given - lower if invert else given
         r.append(r_n)
         m.append(lower + r_n)
-    out = r if invert else m
-    if exact:
-        # r starts at weight 1, m at weight 0
-        out = [Fraction(v, scale ** n) for n, v in enumerate(out, start=int(invert))]
-    return out
+    return r if invert else m
+
+
+def _free_transform(values, invert):
+    """Moments from cumulants, or cumulants from moments when ``invert``.
+
+    ``values`` holds (R_1, ..., R_N), or (m_1, ..., m_N) when inverting;
+    returns (m_0, ..., m_N) or (R_1, ..., R_N).  The table
+    power[s][t] = [z^t] M(z)^s depends only on m_0..m_t, so it grows one
+    anti-diagonal s + t = n per order.  The full block enters m_n with
+    coefficient power[n][0] = 1, so m_n = lower + R_n, where lower sums
+    the blocks below n; the inverse reads R_n off that and keeps the
+    moments it rebuilds, never the ones it was given.
+
+    Every term of m_n has weight n (block sizes add up to n), so for
+    rational values the loop runs in ints: with L from
+    ``weight_denominator``, it holds R_n L^n, m_n L^n and power[s][t] L^t,
+    and divides each output by its power of L once.  Float values run the
+    same loop unscaled.
+    """
+    if not all(is_exact(v) for v in values):
+        return _transform_loop(values, invert, 1.0)
+    scale = weight_denominator(values)
+    values = [scaled(v, scale, n) for n, v in enumerate(values, start=1)]
+    out = _transform_loop(values, invert, 1)
+    # r starts at weight 1, m at weight 0
+    return [Fraction(v, scale ** n) for n, v in enumerate(out, start=int(invert))]
 
 
 def cumulants_to_moments(r: CumulantSequence) -> MomentSequence:
@@ -241,8 +251,8 @@ def translate(r: CumulantSequence, c) -> CumulantSequence:
     return CumulantSequence((r.values[0] + c,) + r.values[1:])
 
 
-# Colours a letter admits, as a bit mask: X = 1, Y = 2, S = X + Y admits both.
-_LETTER_COLOURS = {"X": 1, "Y": 2, "S": 3}
+# A letter as the coefficients (c_X, c_Y) of X and Y in it: S = X + Y.
+_LETTERS = {"X": (1, 0), "Y": (0, 1), "S": (1, 1)}
 
 
 def free_pair_prefix_moments(
@@ -251,60 +261,85 @@ def free_pair_prefix_moments(
     """(tau(Z_1), tau(Z_1 Z_2), ..., tau(Z_1 ... Z_n)) for free X, Y with
     the given cumulants.
 
-    Each Z_i is one of "X", "Y", "S" with S = X + Y.  Expanding every S by
-    multilinearity and dropping mixed cumulants sums, over the non-crossing
-    partitions of the word, a product over blocks of R_k(X) if the block
-    is coloured X and R_k(Y) if it is coloured Y, where an X letter admits
-    only X, a Y letter only Y and an S letter both.  The partitions are
+    Each Z_i is one of "X", "Y", "S" with S = X + Y, read as the coefficient
+    letter c_X X + c_Y Y with (c_X, c_Y) = (1, 0), (0, 1) or (1, 1).
+    Expanding every letter by multilinearity and dropping mixed cumulants
+    sums, over the non-crossing partitions of the word, a product over
+    blocks: a block coloured X weighs R_k(X) times the c_X of its letters,
+    one coloured Y weighs R_k(Y) times their c_Y.  The partitions are
     never listed.  Number the letters from 0, let m[i][j] be the moment of
     letters i..j-1 (m[i][i] = 1) and split on the block holding letter i.
-    That block's colour and size k give its weight R_k, and its inner gaps
+    That block's colour and size k give its weight, and its inner gaps
     and the stretch after it are shorter intervals:
 
-        m[i][j] = sum over blocks i = p_1 < ... < p_k < j admitting a
-                  common colour c of R_k(c) * m[p_1+1][p_2] * ...
+        m[i][j] = sum over blocks i = p_1 < ... < p_k < j and colours c of
+                  R_k(c) c(p_1) ... c(p_k) * m[p_1+1][p_2] * ...
                   * m[p_{k-1}+1][p_k] * m[p_k+1][j].
 
     Rows are filled from i = n-1 down to 0, so one pass gives every m[0][j].
     It costs O(n^4) multiplications at worst.  For rational cumulants the
     moments are exact Fractions, computed in ints: a term of m[i][j] has
-    weight j - i, so with L the common denominator of the cumulants used,
-    the table holds L^(j-i) m[i][j] and the weights R_k L^k, and each
+    weight j - i, so with L from ``weight_denominator`` over the cumulants
+    used, the table holds L^(j-i) m[i][j] and the weights R_k L^k, and each
     prefix moment is divided by L^j once.  Float cumulants run the same
     loop unscaled.
     """
-    letters = list(word)
-    if not letters:
+    word = list(word)
+    if not word:
         raise ValueError("word must be nonempty")
-    n = len(letters)
+    n = len(word)
     _check_order(n)
     order = min(x_cum.order, y_cum.order)
     if n > order:
         raise OrderCapError(f"word length {n} exceeds available order {order}")
     try:
-        colours = [_LETTER_COLOURS[w] for w in letters]
+        letters = [_LETTERS[w] for w in word]
     except KeyError as exc:
         raise ValueError(f"word symbols must be X, Y or S (got {exc.args[0]!r})") from exc
 
     # blocks have at most n letters
     xv = x_cum.values[:n]
     yv = y_cum.values[:n]
-    exact = x_cum.is_exact and y_cum.is_exact
-    if exact:
-        scale = common_denominator(xv + yv)
-        xv = [scaled(v, scale, k) for k, v in enumerate(xv, start=1)]
-        yv = [scaled(v, scale, k) for k, v in enumerate(yv, start=1)]
-        one, zero = 1, 0
-    else:
-        one, zero = 1.0, 0.0
-    # an all-S block sums over both colours
+    if not (x_cum.is_exact and y_cum.is_exact):
+        return tuple(_pair_prefix_loop(xv, yv, letters, 1.0))
+    scale = weight_denominator(xv, yv)
+    xv = [scaled(v, scale, k) for k, v in enumerate(xv, start=1)]
+    yv = [scaled(v, scale, k) for k, v in enumerate(yv, start=1)]
+    out = _pair_prefix_loop(xv, yv, letters, 1)
+    return tuple([Fraction(v, scale ** j) for j, v in enumerate(out, start=1)])
+
+
+def _pair_prefix_loop(xv, yv, letters, one):
+    """The interval recursion of :func:`free_pair_prefix_moments` on weights
+    it does not rescale: given R_k(X) L^k and R_k(Y) L^k as ints, it returns
+    the ints L^j tau(Z_1 ... Z_j), j = 1..n.  ``letters`` holds coefficient
+    pairs (c_X, c_Y) of any ring the weights live in.
+
+    An open chain of blocks is keyed by its last letter and the colours it
+    admits, as a bit mask (X = 1, Y = 2).  While every letter of a chain has
+    equal coefficients (c, c) both colours carry the same product, so one
+    chain of mask 3 stands for the two and closes with weight R_k(X) + R_k(Y).
+    A mask-3 chain that meets a letter with c_X != c_Y splits into an X and a
+    Y chain; a one-colour chain takes only its own coefficient.
+    """
+    n = len(letters)
+    zero = one - one
+    # an all-(c, c) block sums over both colours
     weights = {1: xv, 2: yv, 3: [a + b for a, b in zip(xv, yv)]}
+    # letters after the last one unlike (1, 1) are plain S: one cheap step each
+    plain = n
+    while plain and letters[plain - 1] == (1, 1):
+        plain -= 1
     m = [[one] * (n + 1) for _ in range(n + 1)]
     for i in reversed(range(n)):
         # closed[p]: blocks from i to p, weighted, times their inner gaps
         closed = [zero] * n
         # open chains i = p_1 < ... < p_k = p keyed by (p, admissible colours)
-        chains = {(i, colours[i]): one}
+        cx, cy = letters[i]
+        if cx == cy:
+            chains = {(i, 3): cx * one} if cx else {}
+        else:
+            chains = {key: c * one for key, c in (((i, 1), cx), ((i, 2), cy)) if c}
         for k in range(n - i):
             grown = {}
             for (q, c), v in chains.items():
@@ -312,11 +347,27 @@ def free_pair_prefix_moments(
                 if r:
                     closed[q] += r * v
                 gaps = m[q + 1]
-                for p in range(q + 1, n):
-                    c2 = c & colours[p]
-                    if c2 and gaps[p]:
-                        key = (p, c2)
-                        grown[key] = grown.get(key, zero) + v * gaps[p]
+                for p in range(q + 1, plain):
+                    g = gaps[p]
+                    if not g:
+                        continue
+                    px, py = letters[p]
+                    if px == py and c == 3:
+                        if px:
+                            key = (p, 3)
+                            grown[key] = grown.get(key, zero) + v * g * px
+                        continue
+                    if c & 1 and px:
+                        key = (p, 1)
+                        grown[key] = grown.get(key, zero) + v * g * px
+                    if c & 2 and py:
+                        key = (p, 2)
+                        grown[key] = grown.get(key, zero) + v * g * py
+                for p in range(max(q + 1, plain), n):
+                    g = gaps[p]
+                    if g:
+                        key = (p, c)
+                        grown[key] = grown.get(key, zero) + v * g
             chains = grown
         row = m[i]
         for j in range(i + 1, n + 1):
@@ -325,10 +376,7 @@ def free_pair_prefix_moments(
                 if closed[p]:
                     acc += closed[p] * m[p + 1][j]
             row[j] = acc
-    out = m[0][1:]
-    if exact:
-        out = [Fraction(v, scale ** j) for j, v in enumerate(out, start=1)]
-    return tuple(out)
+    return m[0][1:]
 
 
 def free_pair_moment(x_cum: CumulantSequence, y_cum: CumulantSequence, word) -> Scalar:
@@ -386,9 +434,9 @@ def q_cumulants(a, b, q, order: int) -> CumulantSequence:
     standardized law with parameters (a, b).
 
     R_n has weight n - 2 when a has weight 1 and b weight 2, so for
-    rational (a, b, q) the loop runs with a L, b L^2 and R_n L^(n-2), L
-    the common denominator of a and b.  It stays in ints at q = 0 and
-    q = 1; for other rational q the Gaussian binomials stay Fractions.
+    rational (a, b, q) the loop runs with the integers a L, b L^2 and
+    R_n L^(n-2).  It stays in ints at q = 0 and q = 1; for other rational
+    q the Gaussian binomials stay Fractions.
     """
     a = as_scalar(a)
     b = as_scalar(b)
@@ -400,14 +448,15 @@ def q_cumulants(a, b, q, order: int) -> CumulantSequence:
     _check_order(order)
     exact = is_exact(a) and is_exact(b) and is_exact(q)
     if exact:
-        scale = common_denominator((a, b))
+        scale = weight_denominator((a, b))
         a, b = scaled(a, scale, 1), scaled(b, scale, 2)
         if q.denominator == 1:
             q = q.numerator
         r = [0, 1]
     else:
         r = [0.0, 1.0]
-    binom = _q_pascal(order - 2, q)
+    # at q = 0 every Gaussian binomial is 1
+    binom = _q_pascal(order - 2, q) if q else [[1] * order] * order
     for n in range(2, order):
         nxt = a * r[n - 1]
         for j in range(2, n):

@@ -38,7 +38,7 @@ from .cumulants import (
     q_cumulants,
 )
 from .errors import DomainError
-from .scalars import Scalar, as_scalar, common_denominator, exact_sqrt, is_exact, scaled
+from .scalars import Scalar, as_scalar, exact_sqrt, is_exact, scaled, weight_denominator
 
 _ATOM_WEIGHT_FLOOR = 1e-12
 # Relative rounding allowance for the terms of an atom's residue numerator.
@@ -278,8 +278,8 @@ def moments(p: MeixnerParams, order: int) -> MomentSequence:
     recursion; at b = -1 the law is two atoms on the roots of
     x^2 - a x - 1, so m_{n+2} = a m_{n+1} + m_n instead.
 
-    For rational (a, b) it runs in ints on M_n = L^n m_n, L the common
-    denominator of a and b.  Times L^(n+2) the recursion reads
+    For rational (a, b) it runs in ints on M_n = L^n m_n, with L such that
+    a L and b L^2 are integers.  Times L^(n+2) the recursion reads
 
         M_{n+2} = L^2 M_n + aL M_{n+1}
                   + sum_j M_j (L^2 M_{n-j} + aL M_{n+1-j}) + b sum_j M_j M_{n+2-j},
@@ -288,7 +288,8 @@ def moments(p: MeixnerParams, order: int) -> MomentSequence:
     division by den(b) per order.  That division is exact: m_k L^(k-2) is
     an integer for k >= 2 (by induction: times L^n, every term of the
     recursion for m_{n+2} is an integer), so M_k is L^2 times an integer,
-    M_1 = 0, and every product in the b-sum is a multiple of L^4.
+    M_1 = 0, and every product in the b-sum is a multiple of L^4, which
+    den(b) divides.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
@@ -310,7 +311,7 @@ def moments(p: MeixnerParams, order: int) -> MomentSequence:
 
 def _exact_moments(a, b, order: int) -> list[Fraction]:
     """:func:`moments` for rational (a, b), on the ints M_n = L^n m_n."""
-    scale = common_denominator((a, b))
+    scale = weight_denominator((a, b))
     a_l = scaled(a, scale, 1)
     l2 = scale * scale
     m = [1, 0]

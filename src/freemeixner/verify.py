@@ -10,29 +10,50 @@ Meixner law and the pair satisfies, at every moment order,
 with V = beta X - alpha Y, beta = 1 - alpha, C = alpha beta / (1+b), and
 the mixed cumulants obey R_n(V, S, ..., S) = 0 and
 R_n(V, V, S, ..., S) = alpha beta R_n(S).  The verifiers below evaluate
-both sides of each identity independently -- joint moments by the
-first-block interval recursion over the free pair's word, one pass giving
-every order, right-hand sides from the moment sequence -- and report
-residuals per order.  With rational inputs every check is exact;
-in float mode a per-order tolerance of 1e-10 applies.  The orthogonality
-check of the law's monic polynomials always runs in floats, against a Gauss
-rule, with a caller-given tolerance.
+both sides of each identity independently and report residuals per order.
+
+Each pair check reads the marginal cumulants through ``pair.x_cumulants()``
+and ``pair.y_cumulants()`` once and puts them on one integer context: L
+with R_k L^k an integer for every cumulant used, the scaled cumulants, and
+the moments of S as the ints L^n m_n from the int loop of the
+moment/cumulant transform.  A left side is one pass of the first-block
+interval recursion over the pair's word of coefficient letters, which
+gives every order at once: X S^order for the regression, and V V S^order
+with V = den(alpha) (beta X - alpha Y) as the int pair
+(den(alpha) - num(alpha), -num(alpha)) for the quadratic variance.  Right
+sides come from the S moments.  Every residual is formed as lhs D - rhs D
+in ints, where D clears every denominator, and becomes one Fraction; the
+moment recursion does the same on the moments of the law.  With rational
+inputs every check is exact.  Float inputs run the same loops unscaled,
+with L = D = 1, and a per-order tolerance of 1e-10 applies.  The
+orthogonality check of the law's monic polynomials always runs in floats,
+against a Gauss rule, with a caller-given tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .cumulants import (
     CumulantSequence,
     FreePairSpec,
-    cumulants_to_moments,
-    free_pair_prefix_moments,
+    _check_order,
+    _pair_prefix_loop,
+    _transform_loop,
 )
 from .errors import DomainError, OrderCapError
 from .meixner import LevyParams, MeixnerParams, cumulants
 from .numerics import gauss_rule
-from .scalars import Scalar, as_scalar, exact_sqrt, is_exact
+from .scalars import (
+    Scalar,
+    as_scalar,
+    exact_sqrt,
+    is_exact,
+    scaled,
+    weight_denominator,
+)
 
 FLOAT_TOLERANCE = 1e-10
 
@@ -112,11 +133,49 @@ def build_free_pair(alpha, p: MeixnerParams, order: int) -> FreePairSpec:
     return FreePairSpec(cumulants(p, order), alpha)
 
 
-def _pair_moments(pair: FreePairSpec):
-    x = pair.x_cumulants()
-    y = pair.y_cumulants()
-    s = CumulantSequence([a + b for a, b in zip(x.values, y.values)])
-    return x, y, cumulants_to_moments(s)
+def _on_denominator(sequences, exact):
+    """(L, scaled) with scaled[i][k-1] = v_k L^k for sequences[i] = (v_1, ...),
+    L from ``weight_denominator``: ints when ``exact``.  Float sequences
+    come back as lists, with L = 1."""
+    if not exact:
+        return 1, [list(seq) for seq in sequences]
+    scale = weight_denominator(*sequences)
+    return scale, [[scaled(v, scale, k) for k, v in enumerate(seq, start=1)]
+                   for seq in sequences]
+
+
+def _parts(x, exact):
+    """Numerator and denominator of x when ``exact``; (x, 1) for floats."""
+    return (x.numerator, x.denominator) if exact else (x, 1)
+
+
+def _bracket(a, b, scale, exact):
+    """(E, E L^2, a E L, b E) for E = lcm(den a, den b): times E L^(k+2),
+    m_k + a m_{k+1} + b m_{k+2} is E L^2 M_k + a E L M_{k+1} + b E M_{k+2}
+    in the moments M_k = L^k m_k.  For floats E = 1 and L = 1."""
+    (an, ad), (bn, bd) = _parts(a, exact), _parts(b, exact)
+    e = math.lcm(ad, bd)
+    return e, e * scale * scale, an * (e // ad) * scale, bn * (e // bd)
+
+
+def _pair_context(pair: FreePairSpec, order: int, *coefficients):
+    """The pair's cumulants up to ``order`` and the moments of S, on one
+    denominator L by weight.
+
+    Returns (exact, L, X, Y, M): X[k-1] = L^k R_k(X) and Y[k-1] = L^k R_k(Y)
+    as read through ``pair.x_cumulants()`` and ``pair.y_cumulants()``, and
+    M[n] = L^n m_n for the law with cumulants R_k(X) + R_k(Y), from the int
+    loop of the moment/cumulant transform.  The context is exact when those
+    cumulants and the given ``coefficients`` are; float values stay
+    unscaled, with L = 1.
+    """
+    _check_order(order)
+    x = pair.x_cumulants().values[:order]
+    y = pair.y_cumulants().values[:order]
+    exact = all(is_exact(v) for v in (*x, *y, *coefficients))
+    scale, (xs, ys) = _on_denominator((x, y), exact)
+    ms = _transform_loop([u + v for u, v in zip(xs, ys)], False, 1 if exact else 1.0)
+    return exact, scale, xs, ys, ms
 
 
 def verify_linear_regression(pair: FreePairSpec, order: int) -> RegressionReport:
@@ -125,10 +184,16 @@ def verify_linear_regression(pair: FreePairSpec, order: int) -> RegressionReport
         raise OrderCapError(
             f"need pair cumulants up to order {order + 1}, have {pair.order}"
         )
-    x, y, m = _pair_moments(pair)
-    lhs = free_pair_prefix_moments(x, y, ["X"] + ["S"] * order)  # lhs[n] = tau(X S^n)
+    alpha = pair.alpha
+    exact, scale, xs, ys, ms = _pair_context(pair, order + 1, alpha)
+    # lhs[n] = L^(n+1) tau(X S^n)
+    lhs = _pair_prefix_loop(xs, ys, [(1, 0)] + [(1, 1)] * order, 1 if exact else 1.0)
+    p, q = _parts(alpha, exact)
     orders = range(1, order + 1)
-    residuals = [lhs[n] - pair.alpha * m.moment(n + 1) for n in orders]
+    # each residual times q L^(n+1)
+    residuals = [q * lhs[n] - p * ms[n + 1] for n in orders]
+    if exact:
+        residuals = [Fraction(r, q * scale ** (n + 1)) for n, r in zip(orders, residuals)]
     return _report("linear-regression", orders, residuals)
 
 
@@ -150,28 +215,29 @@ def verify_quadratic_variance(pair: FreePairSpec, order: int) -> RegressionRepor
         raise OrderCapError(
             f"need pair cumulants up to order {order + 2}, have {pair.order}"
         )
-    x, y, m = _pair_moments(pair)
     a, b = _conditional_variance_params(pair.s_cumulants)
     if b == -1:
         raise DomainError("conditional-variance constant undefined at b = -1")
-    alpha, beta = pair.alpha, pair.beta
-    c = alpha * beta / (1 + b)
-    # xx[n + 1] = tau(X X S^n), and likewise for the other three heads
-    tail = ["S"] * order
-    xx, xy, yx, yy = (
-        free_pair_prefix_moments(x, y, list(head) + tail) for head in ("XX", "XY", "YX", "YY")
-    )
-    residuals = []
+    alpha = pair.alpha
+    c = alpha * pair.beta / (1 + b)
+    exact, scale, xs, ys, ms = _pair_context(pair, order + 2, alpha, a, b)
+    p, q = _parts(alpha, exact)
+    # V = q (beta X - alpha Y) with q = den(alpha), so
+    # lhs[n + 1] = q^2 L^(n+2) tau(V V S^n)
+    v = (q - p, -p)
+    lhs = _pair_prefix_loop(xs, ys, [v, v] + [(1, 1)] * order, 1 if exact else 1.0)
+    e, el2, ea, eb = _bracket(a, b, scale, exact)
+    cn, cd = _parts(c, exact)
+    left, right = cd * e, q * q * cn
     orders = range(0, order + 1)
-    for n in orders:
-        lhs = (
-            beta * beta * xx[n + 1]
-            - alpha * beta * xy[n + 1]
-            - alpha * beta * yx[n + 1]
-            + alpha * alpha * yy[n + 1]
-        )
-        rhs = c * (m.moment(n) + a * m.moment(n + 1) + b * m.moment(n + 2))
-        residuals.append(lhs - rhs)
+    # each residual times q^2 cd E L^(n+2)
+    residuals = [
+        left * lhs[n + 1] - right * (el2 * ms[n] + ea * ms[n + 1] + eb * ms[n + 2])
+        for n in orders
+    ]
+    if exact:
+        den = q * q * cd * e
+        residuals = [Fraction(r, den * scale ** (n + 2)) for n, r in zip(orders, residuals)]
     return _report("quadratic-variance", orders, residuals, constant=c)
 
 
@@ -213,18 +279,21 @@ def verify_moment_recursion(p: MeixnerParams, order: int) -> RegressionReport:
     the check that the two agree."""
     if p.b == -1:
         raise DomainError("the moment recursion is degenerate at b = -1")
-    a, b = p.a, p.b
-    m = cumulants_to_moments(cumulants(p, order, method="nc_le2"))
+    exact = p.is_exact
+    scale, (rs,) = _on_denominator((cumulants(p, order).values,), exact)
+    ms = _transform_loop(rs, False, 1 if exact else 1.0)  # ms[n] = L^n m_n
+    e, el2, ea, eb = _bracket(p.a, p.b, scale, exact)
+    top = e + eb  # (1+b) E
     residuals = []
     orders = range(2, order + 1)
     for target in orders:
         n = target - 2
         rhs = 0
         for j in range(n + 1):
-            rhs += m.moment(j) * (
-                m.moment(n - j) + a * m.moment(n + 1 - j) + b * m.moment(n + 2 - j)
-            )
-        residuals.append((1 + b) * m.moment(target) - rhs)
+            rhs += ms[j] * (el2 * ms[n - j] + ea * ms[n + 1 - j] + eb * ms[n + 2 - j])
+        residuals.append(top * ms[target] - rhs)
+    if exact:
+        residuals = [Fraction(r, e * scale ** t) for t, r in zip(orders, residuals)]
     return _report("moment-recursion", orders, residuals)
 
 

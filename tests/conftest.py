@@ -5,7 +5,14 @@ from fractions import Fraction
 
 from hypothesis import settings
 
-from freemeixner import enumerate_nc, enumerate_nc_le2
+from freemeixner import (
+    CumulantSequence,
+    cumulants,
+    cumulants_to_moments,
+    enumerate_nc,
+    enumerate_nc_le2,
+    free_pair_prefix_moments,
+)
 from freemeixner.scalars import Scalar, as_scalar, is_exact
 
 # Property tests draw the same examples on every run and stay inside the
@@ -258,3 +265,64 @@ def fraction_moments(p, order):
                 nxt += m[j] * (m[n - j] + a * m[n + 1 - j] + b * m[n + 2 - j])
             m.append(nxt)
     return tuple(m[: order + 1])
+
+
+# The Fraction residual loops the exact verifiers ran before they moved to
+# one integer context per pair, kept verbatim (argument checks dropped) as
+# references: four free-pair passes for the quadratic variance, and a
+# Fraction per step for every residual.
+
+
+def _fraction_pair_moments(pair):
+    x = pair.x_cumulants()
+    y = pair.y_cumulants()
+    s = CumulantSequence([a + b for a, b in zip(x.values, y.values)])
+    return x, y, cumulants_to_moments(s)
+
+
+def fraction_linear_regression(pair, order):
+    """Reference residuals of ``verify.verify_linear_regression``."""
+    x, y, m = _fraction_pair_moments(pair)
+    lhs = free_pair_prefix_moments(x, y, ["X"] + ["S"] * order)  # lhs[n] = tau(X S^n)
+    return [lhs[n] - pair.alpha * m.moment(n + 1) for n in range(1, order + 1)]
+
+
+def fraction_quadratic_variance(pair, order):
+    """Reference (residuals, constant) of ``verify.verify_quadratic_variance``."""
+    x, y, m = _fraction_pair_moments(pair)
+    a = pair.s_cumulants.cumulant(3)
+    b = pair.s_cumulants.cumulant(4) - a * a
+    alpha, beta = pair.alpha, pair.beta
+    c = alpha * beta / (1 + b)
+    # xx[n + 1] = tau(X X S^n), and likewise for the other three heads
+    tail = ["S"] * order
+    xx, xy, yx, yy = (
+        free_pair_prefix_moments(x, y, list(head) + tail) for head in ("XX", "XY", "YX", "YY")
+    )
+    residuals = []
+    for n in range(0, order + 1):
+        lhs = (
+            beta * beta * xx[n + 1]
+            - alpha * beta * xy[n + 1]
+            - alpha * beta * yx[n + 1]
+            + alpha * alpha * yy[n + 1]
+        )
+        rhs = c * (m.moment(n) + a * m.moment(n + 1) + b * m.moment(n + 2))
+        residuals.append(lhs - rhs)
+    return residuals, c
+
+
+def fraction_moment_recursion(p, order):
+    """Reference residuals of ``verify.verify_moment_recursion``."""
+    a, b = p.a, p.b
+    m = cumulants_to_moments(cumulants(p, order, method="nc_le2"))
+    residuals = []
+    for target in range(2, order + 1):
+        n = target - 2
+        rhs = 0
+        for j in range(n + 1):
+            rhs += m.moment(j) * (
+                m.moment(n - j) + a * m.moment(n + 1 - j) + b * m.moment(n + 2 - j)
+            )
+        residuals.append((1 + b) * m.moment(target) - rhs)
+    return residuals

@@ -1,12 +1,13 @@
 """The exact kernels against the Fraction loops they replaced.
 
-Each kernel computes on ints over one common denominator.  On rational
+Each kernel computes on ints over one denominator by weight.  On rational
 input its results must equal the Fraction reference in ``conftest`` and be
 Fractions; on float input they must carry the same bits.  The inputs mix
 zeros, negative values and large coprime denominators, so a wrong power of
 the denominator cannot cancel.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -25,18 +26,28 @@ from freemeixner import (
     MeixnerParams,
     MomentSequence,
     OrderCapError,
+    build_free_pair,
     cumulants_to_moments,
+    free_pair_moment,
     free_pair_prefix_moments,
     moments,
     moments_to_cumulants,
     q_cumulants,
+    verify_linear_regression,
+    verify_moment_recursion,
+    verify_quadratic_variance,
 )
+from freemeixner.cumulants import _pair_prefix_loop
+from freemeixner.scalars import scaled, weight_denominator
 
 PRIMES = (7, 9973, 65537, 999983, 2147483647)
+# prime powers and products: a denominator L^k clears only at the right k
+POWERS = (4, 8, 27, 12, 7**3, 2**20 * 3)
 RATIONALS = st.one_of(
     st.just(F(0)),
     st.integers(-9, 9).map(F),
     st.builds(F, st.integers(-10**6, 10**6), st.sampled_from(PRIMES)),
+    st.builds(F, st.integers(-10**6, 10**6), st.sampled_from(POWERS)),
 )
 FLOATS = st.one_of(st.just(0.0), st.just(-0.0), st.floats(min_value=-4, max_value=4))
 
@@ -72,6 +83,23 @@ class TestTransforms:
         assert_same_bits(got, fraction_free_transform(values, invert=False))
         got = moments_to_cumulants(MomentSequence([1.0] + values)).values
         assert_same_bits(got, fraction_free_transform(values, invert=True))
+
+
+class TestWeightDenominator:
+    @given(st.lists(st.lists(RATIONALS, max_size=12), min_size=1, max_size=3))
+    def test_clears_each_weight_and_divides_the_lcm(self, sequences):
+        scale = weight_denominator(*sequences)
+        dens = [v.denominator for seq in sequences for v in seq]
+        assert math.lcm(*dens) % scale == 0
+        for seq in sequences:
+            assert all((v * scale ** k).denominator == 1 for k, v in enumerate(seq, start=1))
+
+    def test_law_cumulants_stay_on_the_parameter_denominator(self):
+        # R_k of mu_{5/2, 1/2} has denominator 2^(k-2): L stays 2, where the
+        # least common multiple of the denominators is 2^62
+        r = q_cumulants(F(5, 2), F(1, 2), 0, MAX_ORDER).values
+        assert weight_denominator(r) == 2
+        assert math.lcm(*[v.denominator for v in r]) == 2 ** 62
 
 
 # b as a function of a and a free draw v: the two-atom edge b = -1, b = 0,
@@ -137,6 +165,53 @@ class TestFreePair:
         got = free_pair_prefix_moments(x, y, word)
         assert_same_bits(got, fraction_pair_prefix_moments(x, y, word))
 
+    @staticmethod
+    def coefficient_moments(x, y, letters):
+        """L^j tau(Z_1 ... Z_j) from the coefficient-letter loop, divided out."""
+        scale = weight_denominator(x.values, y.values)
+        xs = [scaled(v, scale, k) for k, v in enumerate(x.values, start=1)]
+        ys = [scaled(v, scale, k) for k, v in enumerate(y.values, start=1)]
+        out = _pair_prefix_loop(xs, ys, letters, 1)
+        return [F(v, scale ** j) for j, v in enumerate(out, start=1)]
+
+    @given(st.integers(0, 10), st.data())
+    def test_v_words_match_the_four_heads(self, n, data):
+        """tau(V V S^n) for V = beta X - alpha Y, in one pass over the
+        coefficient letters (q - p, -p) = den(alpha) (beta, -alpha)."""
+        x = CumulantSequence(data.draw(st.lists(RATIONALS, min_size=n + 2, max_size=n + 2)))
+        y = CumulantSequence(data.draw(st.lists(RATIONALS, min_size=n + 2, max_size=n + 2)))
+        q = data.draw(st.integers(2, 30))
+        p = data.draw(st.integers(1, q - 1))
+        alpha, beta = F(p, q), F(q - p, q)
+        v = (q - p, -p)
+        got = self.coefficient_moments(x, y, [v, v] + [(1, 1)] * n)
+        xx, xy, yx, yy = (free_pair_prefix_moments(x, y, head + "S" * n)
+                          for head in ("XX", "XY", "YX", "YY"))
+        for k in range(n + 1):
+            want = beta * beta * xx[k + 1] - alpha * beta * (xy[k + 1] + yx[k + 1]) \
+                + alpha * alpha * yy[k + 1]
+            assert got[k + 1] == q * q * want
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=6),
+           st.data())
+    def test_coefficient_letters_expand_multilinearly(self, letters, data):
+        """Any word of letters c_X X + c_Y Y, mask-3 chains splitting where
+        a letter's coefficients differ, against its expansion into X/Y
+        words."""
+        n = len(letters)
+        x = CumulantSequence(data.draw(st.lists(RATIONALS, min_size=n, max_size=n)))
+        y = CumulantSequence(data.draw(st.lists(RATIONALS, min_size=n, max_size=n)))
+        want = 0
+        for choice in range(2 ** n):
+            word, coefficient = "", 1
+            for i, (cx, cy) in enumerate(letters):
+                colour = (choice >> i) & 1
+                word += "Y" if colour else "X"
+                coefficient *= cy if colour else cx
+            if coefficient:
+                want += coefficient * free_pair_moment(x, y, word)
+        assert self.coefficient_moments(x, y, letters)[-1] == want
+
     def test_word_beyond_max_order_is_refused(self):
         n = MAX_ORDER + 1
         r = CumulantSequence([F(1, 3)] * n)
@@ -169,22 +244,29 @@ R32 = CumulantSequence([F(0), F(1)] + [F(k, 3**k) for k in range(1, 31)])
 M32 = MomentSequence([F(1)] + [F(k % 5 - 2, 7 * k) for k in range(1, 33)])
 X17 = CumulantSequence([F(k - 8, 11) for k in range(17)])
 Y17 = CumulantSequence([F(2, 13 + k) for k in range(17)])
+PAIR26 = build_free_pair(F(1, 3), LAW, 26)
 
 
+# A kernel does at most ``order`` Fraction operations per call.  A verifier
+# at order 24 does at most 3 * 24: reading the pair's marginal cumulants
+# costs one multiplication per value, 26 for X and 27 for Y.
 @pytest.mark.parametrize(
-    "kernel, order",
+    "kernel, bound",
     [
         (lambda: cumulants_to_moments(R32), 32),
         (lambda: moments_to_cumulants(M32), 32),
         (lambda: q_cumulants(LAW.a, LAW.b, 0, 32), 32),
         (lambda: moments(LAW, 32), 32),
         (lambda: free_pair_prefix_moments(X17, Y17, "X" + "S" * 16), 17),
+        (lambda: verify_linear_regression(PAIR26, 24), 3 * 24),
+        (lambda: verify_quadratic_variance(PAIR26, 24), 3 * 24),
+        (lambda: verify_moment_recursion(LAW, 24), 3 * 24),
     ],
     ids=["cumulants_to_moments", "moments_to_cumulants", "q_cumulants", "moments",
-         "free_pair_prefix_moments"],
+         "free_pair_prefix_moments", "verify_linear_regression",
+         "verify_quadratic_variance", "verify_moment_recursion"],
 )
-def test_fraction_arithmetic_is_bounded_by_order(kernel, order, fraction_ops):
-    """A kernel does at most ``order`` Fraction operations per call: its
-    loops run on ints, not on a Fraction per step."""
+def test_fraction_arithmetic_is_bounded_by_order(kernel, bound, fraction_ops):
+    """The loops run on ints, not on a Fraction per step."""
     kernel()
-    assert fraction_ops[0] <= order
+    assert fraction_ops[0] <= bound

@@ -1,7 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
-from conftest import GRID_POINTS
+from conftest import (
+    GRID_POINTS,
+    fraction_linear_regression,
+    fraction_moment_recursion,
+    fraction_quadratic_variance,
+)
+from hypothesis import given
+from hypothesis import strategies as st
 
 from freemeixner import (
     CumulantSequence,
@@ -249,12 +256,68 @@ class TestHighOrder:
         assert not verify_linear_regression(pair, 24).ok
         assert not verify_quadratic_variance(pair, 24).ok
 
+    def test_order_48(self):
+        # order 48 needs words of 50 letters; an R_50 tamper first enters
+        # tau(V V S^48), beyond every word of the regression
+        base = cumulants(MeixnerParams(*GRID_POINTS[4]), 50)
+        pair = FreePairSpec(base, F(1, 3))
+        assert verify_linear_regression(pair, 48).max_residual == 0
+        assert verify_quadratic_variance(pair, 48).max_residual == 0
+        tampered = PerturbedPair(base, F(1, 3), broken_order=50)
+        assert verify_linear_regression(tampered, 48).ok
+        assert verify_quadratic_variance(tampered, 48).first_failure == 48
+
     def test_tampered_top_cumulant_caught_only_at_high_order(self):
         base = cumulants(MeixnerParams(F(1), F(1)), 26)
         pair = PerturbedPair(base, F(1, 3), broken_order=24)
         # R_24 first enters tau(X S^23) and tau(X X S^22)
         assert verify_linear_regression(pair, 24).first_failure == 23
         assert verify_quadratic_variance(pair, 24).first_failure == 22
+
+
+@st.composite
+def verifier_cases(draw):
+    """A rational law (b > -1), a rational alpha in (0, 1), an order from 2
+    to 16 and, half the time, one marginal cumulant pushed off the split."""
+    den = st.sampled_from((1, 2, 3, 7, 10, 9973))
+    a = draw(st.builds(F, st.integers(-40, 40), den))
+    b = -1 + draw(st.builds(F, st.integers(1, 80), den))
+    d = draw(st.integers(2, 13))
+    alpha = F(draw(st.integers(1, d - 1)), d)
+    order = draw(st.integers(2, 16))
+    tamper = draw(st.one_of(
+        st.none(),
+        st.tuples(st.integers(1, order + 2),
+                  st.builds(F, st.integers(1, 9) | st.integers(-9, -1), den)),
+    ))
+    return MeixnerParams(a, b), alpha, order, tamper
+
+
+def assert_same_report(rep, residuals, constant=None):
+    assert rep.residuals == tuple(residuals)
+    assert all(type(r) is F for r in rep.residuals)
+    assert rep.passed == tuple(r == 0 for r in residuals)
+    assert rep.constant == constant and type(rep.constant) is type(constant)
+
+
+class TestAgainstFractionVerifiers:
+    """The integer-context verifiers against the Fraction loops they
+    replaced (``conftest``): equal residuals, verdicts and constant."""
+
+    @given(verifier_cases())
+    def test_reports_equal_the_fraction_oracle(self, case):
+        p, alpha, order, tamper = case
+        base = cumulants(p, order + 2)
+        if tamper is None:
+            pair = FreePairSpec(base, alpha)
+        else:
+            pair = PerturbedPair(base, alpha, broken_order=tamper[0], delta=tamper[1])
+        assert_same_report(verify_linear_regression(pair, order),
+                           fraction_linear_regression(pair, order))
+        residuals, c = fraction_quadratic_variance(pair, order)
+        assert_same_report(verify_quadratic_variance(pair, order), residuals, c)
+        assert_same_report(verify_moment_recursion(p, order),
+                           fraction_moment_recursion(p, order))
 
 
 class TestFloatMode:
