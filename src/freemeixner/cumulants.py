@@ -147,7 +147,9 @@ def _check_order(n):
 
 def _transform_loop(values, invert, one):
     """The loop of :func:`_free_transform` on values it does not rescale:
-    ints R_n L^n (or m_n L^n) give ints m_n L^n (or R_n L^n)."""
+    ints R_n L^n (or m_n L^n) give ints m_n L^n (or R_n L^n).  Returns
+    (output, power), with the ints power[s][t] = L^t [z^t] M(z)^s for
+    s + t <= N, the order of ``values``."""
     m = [one]
     r = []
     power = [[one]]
@@ -166,7 +168,7 @@ def _transform_loop(values, invert, one):
         r_n = given - lower if invert else given
         r.append(r_n)
         m.append(lower + r_n)
-    return r if invert else m
+    return (r if invert else m), power
 
 
 def _free_transform(values, invert):
@@ -187,10 +189,10 @@ def _free_transform(values, invert):
     same loop unscaled.
     """
     if not all(is_exact(v) for v in values):
-        return _transform_loop(values, invert, 1.0)
+        return _transform_loop(values, invert, 1.0)[0]
     scale = weight_denominator(values)
     values = [scaled(v, scale, n) for n, v in enumerate(values, start=1)]
-    out = _transform_loop(values, invert, 1)
+    out, _ = _transform_loop(values, invert, 1)
     # r starts at weight 1, m at weight 0
     return [Fraction(v, scale ** n) for n, v in enumerate(out, start=int(invert))]
 
@@ -251,8 +253,7 @@ def translate(r: CumulantSequence, c) -> CumulantSequence:
     return CumulantSequence((r.values[0] + c,) + r.values[1:])
 
 
-# A letter as the coefficients (c_X, c_Y) of X and Y in it: S = X + Y.
-_LETTERS = {"X": (1, 0), "Y": (0, 1), "S": (1, 1)}
+_LETTER_COLOURS = {"X": 1, "Y": 2, "S": 3}
 
 
 def free_pair_prefix_moments(
@@ -261,19 +262,18 @@ def free_pair_prefix_moments(
     """(tau(Z_1), tau(Z_1 Z_2), ..., tau(Z_1 ... Z_n)) for free X, Y with
     the given cumulants.
 
-    Each Z_i is one of "X", "Y", "S" with S = X + Y, read as the coefficient
-    letter c_X X + c_Y Y with (c_X, c_Y) = (1, 0), (0, 1) or (1, 1).
-    Expanding every letter by multilinearity and dropping mixed cumulants
-    sums, over the non-crossing partitions of the word, a product over
-    blocks: a block coloured X weighs R_k(X) times the c_X of its letters,
-    one coloured Y weighs R_k(Y) times their c_Y.  The partitions are
+    Each Z_i is one of "X", "Y", "S" with S = X + Y.  Expanding every S by
+    multilinearity and dropping mixed cumulants sums, over the non-crossing
+    partitions of the word, a product over blocks of R_k(X) if the block
+    is coloured X and R_k(Y) if it is coloured Y, where an X letter admits
+    only X, a Y letter only Y and an S letter both.  The partitions are
     never listed.  Number the letters from 0, let m[i][j] be the moment of
     letters i..j-1 (m[i][i] = 1) and split on the block holding letter i.
-    That block's colour and size k give its weight, and its inner gaps
+    That block's colour and size k give its weight R_k, and its inner gaps
     and the stretch after it are shorter intervals:
 
-        m[i][j] = sum over blocks i = p_1 < ... < p_k < j and colours c of
-                  R_k(c) c(p_1) ... c(p_k) * m[p_1+1][p_2] * ...
+        m[i][j] = sum over blocks i = p_1 < ... < p_k < j admitting a
+                  common colour c of R_k(c) * m[p_1+1][p_2] * ...
                   * m[p_{k-1}+1][p_k] * m[p_k+1][j].
 
     Rows are filled from i = n-1 down to 0, so one pass gives every m[0][j].
@@ -293,7 +293,7 @@ def free_pair_prefix_moments(
     if n > order:
         raise OrderCapError(f"word length {n} exceeds available order {order}")
     try:
-        letters = [_LETTERS[w] for w in word]
+        colours = [_LETTER_COLOURS[w] for w in word]
     except KeyError as exc:
         raise ValueError(f"word symbols must be X, Y or S (got {exc.args[0]!r})") from exc
 
@@ -301,45 +301,33 @@ def free_pair_prefix_moments(
     xv = x_cum.values[:n]
     yv = y_cum.values[:n]
     if not (x_cum.is_exact and y_cum.is_exact):
-        return tuple(_pair_prefix_loop(xv, yv, letters, 1.0))
+        return tuple(_pair_prefix_loop(xv, yv, colours, 1.0))
     scale = weight_denominator(xv, yv)
     xv = [scaled(v, scale, k) for k, v in enumerate(xv, start=1)]
     yv = [scaled(v, scale, k) for k, v in enumerate(yv, start=1)]
-    out = _pair_prefix_loop(xv, yv, letters, 1)
+    out = _pair_prefix_loop(xv, yv, colours, 1)
     return tuple([Fraction(v, scale ** j) for j, v in enumerate(out, start=1)])
 
 
-def _pair_prefix_loop(xv, yv, letters, one):
+def _pair_prefix_loop(xv, yv, colours, one):
     """The interval recursion of :func:`free_pair_prefix_moments` on weights
     it does not rescale: given R_k(X) L^k and R_k(Y) L^k as ints, it returns
-    the ints L^j tau(Z_1 ... Z_j), j = 1..n.  ``letters`` holds coefficient
-    pairs (c_X, c_Y) of any ring the weights live in.
-
-    An open chain of blocks is keyed by its last letter and the colours it
-    admits, as a bit mask (X = 1, Y = 2).  While every letter of a chain has
-    equal coefficients (c, c) both colours carry the same product, so one
-    chain of mask 3 stands for the two and closes with weight R_k(X) + R_k(Y).
-    A mask-3 chain that meets a letter with c_X != c_Y splits into an X and a
-    Y chain; a one-colour chain takes only its own coefficient.
+    the ints L^j tau(Z_1 ... Z_j), j = 1..n.  ``colours`` holds each letter's
+    admissible colours as a bit mask (X = 1, Y = 2, S = 3).  An open chain
+    of blocks is keyed by its last letter and the colours all its letters
+    admit, so a mask-3 chain stands for both and closes with weight
+    R_k(X) + R_k(Y).
     """
-    n = len(letters)
+    n = len(colours)
     zero = one - one
-    # an all-(c, c) block sums over both colours
+    # an all-S block sums over both colours
     weights = {1: xv, 2: yv, 3: [a + b for a, b in zip(xv, yv)]}
-    # letters after the last one unlike (1, 1) are plain S: one cheap step each
-    plain = n
-    while plain and letters[plain - 1] == (1, 1):
-        plain -= 1
     m = [[one] * (n + 1) for _ in range(n + 1)]
     for i in reversed(range(n)):
         # closed[p]: blocks from i to p, weighted, times their inner gaps
         closed = [zero] * n
         # open chains i = p_1 < ... < p_k = p keyed by (p, admissible colours)
-        cx, cy = letters[i]
-        if cx == cy:
-            chains = {(i, 3): cx * one} if cx else {}
-        else:
-            chains = {key: c * one for key, c in (((i, 1), cx), ((i, 2), cy)) if c}
+        chains = {(i, colours[i]): one}
         for k in range(n - i):
             grown = {}
             for (q, c), v in chains.items():
@@ -347,27 +335,11 @@ def _pair_prefix_loop(xv, yv, letters, one):
                 if r:
                     closed[q] += r * v
                 gaps = m[q + 1]
-                for p in range(q + 1, plain):
-                    g = gaps[p]
-                    if not g:
-                        continue
-                    px, py = letters[p]
-                    if px == py and c == 3:
-                        if px:
-                            key = (p, 3)
-                            grown[key] = grown.get(key, zero) + v * g * px
-                        continue
-                    if c & 1 and px:
-                        key = (p, 1)
-                        grown[key] = grown.get(key, zero) + v * g * px
-                    if c & 2 and py:
-                        key = (p, 2)
-                        grown[key] = grown.get(key, zero) + v * g * py
-                for p in range(max(q + 1, plain), n):
-                    g = gaps[p]
-                    if g:
-                        key = (p, c)
-                        grown[key] = grown.get(key, zero) + v * g
+                for p in range(q + 1, n):
+                    c2 = c & colours[p]
+                    if c2 and gaps[p]:
+                        key = (p, c2)
+                        grown[key] = grown.get(key, zero) + v * gaps[p]
             chains = grown
         row = m[i]
         for j in range(i + 1, n + 1):

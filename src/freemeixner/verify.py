@@ -10,24 +10,26 @@ Meixner law and the pair satisfies, at every moment order,
 with V = beta X - alpha Y, beta = 1 - alpha, C = alpha beta / (1+b), and
 the mixed cumulants obey R_n(V, S, ..., S) = 0 and
 R_n(V, V, S, ..., S) = alpha beta R_n(S).  The verifiers below evaluate
-both sides of each identity independently and report residuals per order.
+both sides of each identity and report residuals per order; the interval
+recursion ``free_pair_prefix_moments`` gives the left sides independently.
 
-Each pair check reads the marginal cumulants through ``pair.x_cumulants()``
-and ``pair.y_cumulants()`` once and puts them on one integer context: L
-with R_k L^k an integer for every cumulant used, the scaled cumulants, and
-the moments of S as the ints L^n m_n from the int loop of the
-moment/cumulant transform.  A left side is one pass of the first-block
-interval recursion over the pair's word of coefficient letters, which
-gives every order at once: X S^order for the regression, and V V S^order
-with V = den(alpha) (beta X - alpha Y) as the int pair
-(den(alpha) - num(alpha), -num(alpha)) for the quadratic variance.  Right
-sides come from the S moments.  Every residual is formed as lhs D - rhs D
-in ints, where D clears every denominator, and becomes one Fraction; the
-moment recursion does the same on the moments of the law.  With rational
-inputs every check is exact.  Float inputs run the same loops unscaled,
-with L = D = 1, and a per-order tolerance of 1e-10 applies.  The
-orthogonality check of the law's monic polynomials always runs in floats,
-against a Gauss rule, with a caller-given tolerance.
+Each pair check reads the marginal cumulants through
+``pair.x_cumulants()`` and ``pair.y_cumulants()`` once and puts them on
+one integer context: L with R_k L^k an integer for every cumulant used,
+the scaled cumulants, and the moments of S as the ints L^n m_n with the
+table P[s][t] = L^t [z^t] M_S(z)^s, both from the int loop of the
+moment/cumulant transform.  A left side splits on the block holding the
+first letter, whose gaps are words in S, except that the second V of
+V V S^n may open the first gap.  So it is a short sum over P of the block
+weights R_k(X) for the regression and, for the quadratic variance, of
+those of V = den(alpha) (beta X - alpha Y), which the mixed-cumulant check
+reads directly.  Right sides come from the S moments.  Every residual is
+formed as lhs D - rhs D in ints, where D clears every denominator, and
+becomes one Fraction; the moment recursion does the same on the moments of
+the law.  With rational inputs every check is exact.  Float inputs run the
+same loops unscaled, with L = D = 1, and a per-order tolerance of 1e-10
+applies.  The orthogonality check of the law's monic polynomials always
+runs in floats, against a Gauss rule, with a caller-given tolerance.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .cumulants import (
     CumulantSequence,
     FreePairSpec,
     _check_order,
-    _pair_prefix_loop,
     _transform_loop,
 )
 from .errors import DomainError, OrderCapError
@@ -162,20 +163,48 @@ def _pair_context(pair: FreePairSpec, order: int, *coefficients):
     """The pair's cumulants up to ``order`` and the moments of S, on one
     denominator L by weight.
 
-    Returns (exact, L, X, Y, M): X[k-1] = L^k R_k(X) and Y[k-1] = L^k R_k(Y)
-    as read through ``pair.x_cumulants()`` and ``pair.y_cumulants()``, and
-    M[n] = L^n m_n for the law with cumulants R_k(X) + R_k(Y), from the int
-    loop of the moment/cumulant transform.  The context is exact when those
-    cumulants and the given ``coefficients`` are; float values stay
-    unscaled, with L = 1.
+    Returns (exact, L, X, Y, M, P): X[k-1] = L^k R_k(X) and Y[k-1] = L^k R_k(Y)
+    as read through ``pair.x_cumulants()`` and ``pair.y_cumulants()``, and,
+    from the int loop of the moment/cumulant transform, M[n] = L^n m_n and
+    P[s][t] = L^t [z^t] M(z)^s (s + t <= ``order``) for the law with
+    cumulants R_k(X) + R_k(Y).  The context is exact when those cumulants
+    and the given ``coefficients`` are; float values stay unscaled, L = 1.
     """
     _check_order(order)
     x = pair.x_cumulants().values[:order]
     y = pair.y_cumulants().values[:order]
     exact = all(is_exact(v) for v in (*x, *y, *coefficients))
     scale, (xs, ys) = _on_denominator((x, y), exact)
-    ms = _transform_loop([u + v for u, v in zip(xs, ys)], False, 1 if exact else 1.0)
-    return exact, scale, xs, ys, ms
+    ms, power = _transform_loop([u + v for u, v in zip(xs, ys)], False, 1 if exact else 1.0)
+    return exact, scale, xs, ys, ms, power
+
+
+def _heads(weights, rows, order):
+    """sum_s weights[s] rows[s][t - s] for t = 0..order: the block holding the
+    first letter, of s + 1 letters, and its gaps in S, of t - s letters in
+    all, counted by rows[s]."""
+    return [sum([weights[s] * rows[s][t - s] for s in range(t + 1)])
+            for t in range(order + 1)]
+
+
+def _v_weights(xs, ys, p, q):
+    """one[k-1] = q L^k R_k(V, S, ..., S), two[k-1] = q^2 L^k R_k(V, V, S, ..., S)
+    for V = q (beta X - alpha Y), alpha = p / q: a V brings q - p to an X block, -p to Y."""
+    cx, cy = q - p, -p
+    return ([cx * u + cy * v for u, v in zip(xs, ys)],
+            [cx * cx * u + cy * cy * v for u, v in zip(xs, ys)])
+
+
+def _variance_lhs(one, two, power, order):
+    """q^2 L^(n+2) tau(V V S^n) for n = 0..order.  The first block holds both
+    V's and s - 1 S letters, with s gaps after the second V; or it holds
+    only the first V, the second opens its first gap V S^j, with
+    u[j] = q L^(j+1) tau(V S^j), and d[t] counts the block with its other
+    gaps, which hold t S letters."""
+    u, d = _heads(one, power[1:], order), _heads(one, power, order)
+    both = _heads(two, power, order + 1)
+    return [both[n + 1] + sum([u[j] * d[n - j] for j in range(n + 1)])
+            for n in range(order + 1)]
 
 
 def verify_linear_regression(pair: FreePairSpec, order: int) -> RegressionReport:
@@ -185,9 +214,8 @@ def verify_linear_regression(pair: FreePairSpec, order: int) -> RegressionReport
             f"need pair cumulants up to order {order + 1}, have {pair.order}"
         )
     alpha = pair.alpha
-    exact, scale, xs, ys, ms = _pair_context(pair, order + 1, alpha)
-    # lhs[n] = L^(n+1) tau(X S^n)
-    lhs = _pair_prefix_loop(xs, ys, [(1, 0)] + [(1, 1)] * order, 1 if exact else 1.0)
+    exact, scale, xs, ys, ms, power = _pair_context(pair, order + 1, alpha)
+    lhs = _heads(xs, power[1:], order)  # L^(n+1) tau(X S^n): k letters, k gaps
     p, q = _parts(alpha, exact)
     orders = range(1, order + 1)
     # each residual times q L^(n+1)
@@ -220,19 +248,17 @@ def verify_quadratic_variance(pair: FreePairSpec, order: int) -> RegressionRepor
         raise DomainError("conditional-variance constant undefined at b = -1")
     alpha = pair.alpha
     c = alpha * pair.beta / (1 + b)
-    exact, scale, xs, ys, ms = _pair_context(pair, order + 2, alpha, a, b)
+    exact, scale, xs, ys, ms, power = _pair_context(pair, order + 2, alpha, a, b)
     p, q = _parts(alpha, exact)
-    # V = q (beta X - alpha Y) with q = den(alpha), so
-    # lhs[n + 1] = q^2 L^(n+2) tau(V V S^n)
-    v = (q - p, -p)
-    lhs = _pair_prefix_loop(xs, ys, [v, v] + [(1, 1)] * order, 1 if exact else 1.0)
+    # lhs[n] = q^2 L^(n+2) tau(V V S^n)
+    lhs = _variance_lhs(*_v_weights(xs, ys, p, q), power, order)
     e, el2, ea, eb = _bracket(a, b, scale, exact)
     cn, cd = _parts(c, exact)
     left, right = cd * e, q * q * cn
     orders = range(0, order + 1)
     # each residual times q^2 cd E L^(n+2)
     residuals = [
-        left * lhs[n + 1] - right * (el2 * ms[n] + ea * ms[n + 1] + eb * ms[n + 2])
+        left * lhs[n] - right * (el2 * ms[n] + ea * ms[n + 1] + eb * ms[n + 2])
         for n in orders
     ]
     if exact:
@@ -252,16 +278,16 @@ def verify_mixed_cumulants(pair: FreePairSpec, order: int) -> RegressionReport:
     """
     if order > pair.order:
         raise OrderCapError(f"need pair cumulants up to order {order}, have {pair.order}")
-    x = pair.x_cumulants()
-    y = pair.y_cumulants()
-    alpha, beta = pair.alpha, pair.beta
-    residuals = []
+    exact, scale, xs, ys, _, _ = _pair_context(pair, order, pair.alpha)
+    p, q = _parts(pair.alpha, exact)
+    one, two = _v_weights(xs, ys, p, q)
+    # R_n(V, S, ...) times q L^n, and R_n(V, V, S, ...) - alpha beta R_n(S) times q^2 L^n
+    square = [w - p * (q - p) * (u + v) for w, u, v in zip(two, xs, ys)]
+    if exact:
+        one = [Fraction(v, q * scale ** n) for n, v in enumerate(one, start=1)]
+        square = [Fraction(v, q * q * scale ** n) for n, v in enumerate(square, start=1)]
     orders = range(2, order + 1)
-    for n in orders:
-        rx, ry = x.cumulant(n), y.cumulant(n)
-        linear = beta * rx - alpha * ry
-        square = beta * beta * rx + alpha * alpha * ry - alpha * beta * (rx + ry)
-        residuals.append(max(abs(linear), abs(square)))
+    residuals = [max(abs(one[n - 1]), abs(square[n - 1])) for n in orders]
     return _report("mixed-cumulants", orders, residuals)
 
 
@@ -281,7 +307,7 @@ def verify_moment_recursion(p: MeixnerParams, order: int) -> RegressionReport:
         raise DomainError("the moment recursion is degenerate at b = -1")
     exact = p.is_exact
     scale, (rs,) = _on_denominator((cumulants(p, order).values,), exact)
-    ms = _transform_loop(rs, False, 1 if exact else 1.0)  # ms[n] = L^n m_n
+    ms, _ = _transform_loop(rs, False, 1 if exact else 1.0)  # ms[n] = L^n m_n
     e, el2, ea, eb = _bracket(p.a, p.b, scale, exact)
     top = e + eb  # (1+b) E
     residuals = []

@@ -9,6 +9,7 @@ the denominator cannot cancel.
 
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from conftest import (
@@ -28,17 +29,17 @@ from freemeixner import (
     OrderCapError,
     build_free_pair,
     cumulants_to_moments,
-    free_pair_moment,
     free_pair_prefix_moments,
     moments,
     moments_to_cumulants,
     q_cumulants,
     verify_linear_regression,
+    verify_mixed_cumulants,
     verify_moment_recursion,
     verify_quadratic_variance,
 )
-from freemeixner.cumulants import _pair_prefix_loop
-from freemeixner.scalars import scaled, weight_denominator
+from freemeixner.scalars import weight_denominator
+from freemeixner.verify import _heads, _pair_context, _v_weights, _variance_lhs
 
 PRIMES = (7, 9973, 65537, 999983, 2147483647)
 # prime powers and products: a denominator L^k clears only at the right k
@@ -165,52 +166,30 @@ class TestFreePair:
         got = free_pair_prefix_moments(x, y, word)
         assert_same_bits(got, fraction_pair_prefix_moments(x, y, word))
 
-    @staticmethod
-    def coefficient_moments(x, y, letters):
-        """L^j tau(Z_1 ... Z_j) from the coefficient-letter loop, divided out."""
-        scale = weight_denominator(x.values, y.values)
-        xs = [scaled(v, scale, k) for k, v in enumerate(x.values, start=1)]
-        ys = [scaled(v, scale, k) for k, v in enumerate(y.values, start=1)]
-        out = _pair_prefix_loop(xs, ys, letters, 1)
-        return [F(v, scale ** j) for j, v in enumerate(out, start=1)]
-
-    @given(st.integers(0, 10), st.data())
-    def test_v_words_match_the_four_heads(self, n, data):
-        """tau(V V S^n) for V = beta X - alpha Y, in one pass over the
-        coefficient letters (q - p, -p) = den(alpha) (beta, -alpha)."""
+    @given(st.integers(0, 16), st.data())
+    def test_table_left_sides_match_the_interval_dp(self, n, data):
+        """The verifiers' left sides, sums over the power table of S, against
+        the interval DP on X S^n and on V V S^n for V = beta X - alpha Y, with
+        X and Y cumulants drawn apart, off any alpha split, so that every
+        term of the quadratic-variance split is in play."""
         x = CumulantSequence(data.draw(st.lists(RATIONALS, min_size=n + 2, max_size=n + 2)))
         y = CumulantSequence(data.draw(st.lists(RATIONALS, min_size=n + 2, max_size=n + 2)))
         q = data.draw(st.integers(2, 30))
         p = data.draw(st.integers(1, q - 1))
         alpha, beta = F(p, q), F(q - p, q)
-        v = (q - p, -p)
-        got = self.coefficient_moments(x, y, [v, v] + [(1, 1)] * n)
+        pair = SimpleNamespace(x_cumulants=lambda: x, y_cumulants=lambda: y)
+        exact, scale, xs, ys, _, power = _pair_context(pair, n + 2, alpha)
+        assert exact
+        regression = _heads(xs, power[1:], n)
+        variance = _variance_lhs(*_v_weights(xs, ys, p, q), power, n)
+        xh = free_pair_prefix_moments(x, y, "X" + "S" * n)
         xx, xy, yx, yy = (free_pair_prefix_moments(x, y, head + "S" * n)
                           for head in ("XX", "XY", "YX", "YY"))
         for k in range(n + 1):
+            assert regression[k] == scale ** (k + 1) * xh[k]
             want = beta * beta * xx[k + 1] - alpha * beta * (xy[k + 1] + yx[k + 1]) \
                 + alpha * alpha * yy[k + 1]
-            assert got[k + 1] == q * q * want
-
-    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=6),
-           st.data())
-    def test_coefficient_letters_expand_multilinearly(self, letters, data):
-        """Any word of letters c_X X + c_Y Y, mask-3 chains splitting where
-        a letter's coefficients differ, against its expansion into X/Y
-        words."""
-        n = len(letters)
-        x = CumulantSequence(data.draw(st.lists(RATIONALS, min_size=n, max_size=n)))
-        y = CumulantSequence(data.draw(st.lists(RATIONALS, min_size=n, max_size=n)))
-        want = 0
-        for choice in range(2 ** n):
-            word, coefficient = "", 1
-            for i, (cx, cy) in enumerate(letters):
-                colour = (choice >> i) & 1
-                word += "Y" if colour else "X"
-                coefficient *= cy if colour else cx
-            if coefficient:
-                want += coefficient * free_pair_moment(x, y, word)
-        assert self.coefficient_moments(x, y, letters)[-1] == want
+            assert variance[k] == q * q * scale ** (k + 2) * want
 
     def test_word_beyond_max_order_is_refused(self):
         n = MAX_ORDER + 1
@@ -260,11 +239,12 @@ PAIR26 = build_free_pair(F(1, 3), LAW, 26)
         (lambda: free_pair_prefix_moments(X17, Y17, "X" + "S" * 16), 17),
         (lambda: verify_linear_regression(PAIR26, 24), 3 * 24),
         (lambda: verify_quadratic_variance(PAIR26, 24), 3 * 24),
+        (lambda: verify_mixed_cumulants(PAIR26, 24), 3 * 24),
         (lambda: verify_moment_recursion(LAW, 24), 3 * 24),
     ],
     ids=["cumulants_to_moments", "moments_to_cumulants", "q_cumulants", "moments",
          "free_pair_prefix_moments", "verify_linear_regression",
-         "verify_quadratic_variance", "verify_moment_recursion"],
+         "verify_quadratic_variance", "verify_mixed_cumulants", "verify_moment_recursion"],
 )
 def test_fraction_arithmetic_is_bounded_by_order(kernel, bound, fraction_ops):
     """The loops run on ints, not on a Fraction per step."""

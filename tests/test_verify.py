@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from freemeixner import (
+    MAX_ORDER,
     CumulantSequence,
     DomainError,
     FreePairSpec,
@@ -236,7 +237,8 @@ class TestForwardDirectionGrid:
 
 
 class TestHighOrder:
-    """The identities at order 24, where the words have up to 26 letters."""
+    """The identities at order 24, where the words have up to 26 letters,
+    and up to the order cap."""
 
     # b > 0, b = 0 and b < 0
     @pytest.mark.parametrize("a,b", [GRID_POINTS[4], GRID_POINTS[1], GRID_POINTS[9]])
@@ -256,16 +258,18 @@ class TestHighOrder:
         assert not verify_linear_regression(pair, 24).ok
         assert not verify_quadratic_variance(pair, 24).ok
 
-    def test_order_48(self):
-        # order 48 needs words of 50 letters; an R_50 tamper first enters
-        # tau(V V S^48), beyond every word of the regression
-        base = cumulants(MeixnerParams(*GRID_POINTS[4]), 50)
+    # 62 = MAX_ORDER - 2, the highest order quadratic variance accepts
+    @pytest.mark.parametrize("order", [48, MAX_ORDER - 2])
+    def test_near_the_order_cap(self, order):
+        # order n needs words of n + 2 letters; an R_(n+2) tamper first
+        # enters tau(V V S^n), beyond every word of the regression
+        base = cumulants(MeixnerParams(*GRID_POINTS[4]), order + 2)
         pair = FreePairSpec(base, F(1, 3))
-        assert verify_linear_regression(pair, 48).max_residual == 0
-        assert verify_quadratic_variance(pair, 48).max_residual == 0
-        tampered = PerturbedPair(base, F(1, 3), broken_order=50)
-        assert verify_linear_regression(tampered, 48).ok
-        assert verify_quadratic_variance(tampered, 48).first_failure == 48
+        assert verify_linear_regression(pair, order).max_residual == 0
+        assert verify_quadratic_variance(pair, order).max_residual == 0
+        tampered = PerturbedPair(base, F(1, 3), broken_order=order + 2)
+        assert verify_linear_regression(tampered, order).ok
+        assert verify_quadratic_variance(tampered, order).first_failure == order
 
     def test_tampered_top_cumulant_caught_only_at_high_order(self):
         base = cumulants(MeixnerParams(F(1), F(1)), 26)
