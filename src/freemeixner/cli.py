@@ -31,6 +31,8 @@ from .errors import FreeMeixnerError
 from .meixner import LevyParams, MeixnerLaw, MeixnerParams, MeixnerType
 
 MAX_SEQUENCE_ORDER = 24
+# a density grid costs about 10 us a point, so the largest takes about 0.1 s
+MAX_DENSITY_POINTS = 10_000
 
 
 def _scalar(text: str):
@@ -99,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         **scalars,
         xmin=(_scalar, Fraction(-3), "grid start"),
         xmax=(_scalar, Fraction(3), "grid end"),
-        points=(int, 101, "grid size (>= 2)"),
+        points=(int, 101, f"grid size, 2..{MAX_DENSITY_POINTS}"),
     )
     add(
         "moments",
@@ -186,6 +188,8 @@ def cmd_density(opts):
     points = opts["points"]
     if points < 2:
         raise FreeMeixnerError(f"points must be >= 2, got {points}")
+    if points > MAX_DENSITY_POINTS:
+        raise FreeMeixnerError(f"points must be <= {MAX_DENSITY_POINTS}, got {points}")
     law = MeixnerLaw.from_params(p)
     xmin, xmax = float(opts["xmin"]), float(opts["xmax"])
     step = (xmax - xmin) / (points - 1)
@@ -394,10 +398,8 @@ def main(argv=None) -> int:
     exact = not any(isinstance(v, float) for k, v in opts.items() if k not in ("eps", "z"))
     try:
         data, identities, code = _HANDLERS[args.command](opts)
-    except FreeMeixnerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FreeMeixnerError, ValueError, OverflowError) as exc:
+        # OverflowError: an exact parameter too large for the float layer
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = {

@@ -3,7 +3,9 @@
 No library computation runs over these objects: the transforms, the
 Meixner cumulants and the joint moments of free pairs all use equivalent
 first-block recursions.  The public enumerators are the combinatorial
-oracle those recursions are tested against.
+oracle those recursions are tested against.  Both enumerate by one
+first-block recursion, memoized within a call; the module keeps no state
+between calls.
 Partitions are kept in a canonical form -- blocks sorted by least element,
 elements ascending inside a block -- so they can be hashed, compared and
 deduplicated.
@@ -97,69 +99,39 @@ def is_crossing(p: Partition) -> bool:
     return False
 
 
-# Partitions of a segment depend only on its length, so small segments are
-# cached as block tuples of {1..n} and shifted on use.
-_CACHE_LIMIT = 10
-_NC_CACHE: dict[int, tuple] = {}
-_NC_LE2_CACHE: dict[int, tuple] = {}
-
-
 def _shift(blocks, offset):
     return tuple(tuple(i + offset for i in b) for b in blocks)
 
 
-def _nc_blocks(n):
-    """All non-crossing partitions of {1..n} as canonical block tuples."""
-    cached = _NC_CACHE.get(n)
-    if cached is not None:
-        return cached
-    if n == 0:
-        result = ((),)
-    else:
-        out = []
-        rest = range(2, n + 1)
-        for size in range(n):
-            for tail in itertools.combinations(rest, size):
-                first = (1,) + tail
-                # Every other block must fit in one gap between consecutive
-                # members of the first block (or after its last member).
-                bounds = first + (n + 1,)
-                gap_parts = [
-                    tuple(_shift(part, lo) for part in _nc_blocks(hi - lo - 1))
-                    for lo, hi in zip(first, bounds[1:])
-                ]
-                for combo in itertools.product(*gap_parts):
-                    blocks = (first,)
-                    for sub in combo:
-                        blocks += sub
-                    out.append(blocks)
-        result = tuple(out)
-    if n <= _CACHE_LIMIT:
-        _NC_CACHE[n] = result
-    return result
+def _nc_blocks(n, largest):
+    """Non-crossing partitions of {1..n} whose blocks have at most
+    ``largest`` elements, as canonical block tuples.
 
+    Every other block fits in one gap of the block holding 1: between two
+    of its members, or after the last.  A gap is a shorter segment split
+    the same way, so segments are memoized by length within the call."""
+    memo = {0: ((),)}
 
-def _nc_le2_blocks(n):
-    """Non-crossing partitions of {1..n} with block sizes at most 2."""
-    cached = _NC_LE2_CACHE.get(n)
-    if cached is not None:
-        return cached
-    if n == 0:
-        result = ((),)
-    else:
-        out = []
-        for sub in _nc_le2_blocks(n - 1):
-            out.append(((1,),) + _shift(sub, 1))
-        for j in range(2, n + 1):
-            inner = tuple(_shift(part, 1) for part in _nc_le2_blocks(j - 2))
-            outer = tuple(_shift(part, j) for part in _nc_le2_blocks(n - j))
-            for left in inner:
-                for right in outer:
-                    out.append(((1, j),) + left + right)
-        result = tuple(out)
-    if n <= _CACHE_LIMIT:
-        _NC_LE2_CACHE[n] = result
-    return result
+    def segment(m):
+        if m not in memo:
+            out = []
+            for size in range(min(m, largest)):
+                for tail in itertools.combinations(range(2, m + 1), size):
+                    first = (1,) + tail
+                    bounds = first + (m + 1,)
+                    gap_parts = [
+                        [_shift(part, lo) for part in segment(hi - lo - 1)]
+                        for lo, hi in zip(first, bounds[1:])
+                    ]
+                    for combo in itertools.product(*gap_parts):
+                        blocks = (first,)
+                        for sub in combo:
+                            blocks += sub
+                        out.append(blocks)
+            memo[m] = tuple(out)
+        return memo[m]
+
+    return segment(n)
 
 
 def _check_cap(n, cap):
@@ -174,10 +146,10 @@ def _check_cap(n, cap):
 def enumerate_nc(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Partition]:
     """All non-crossing partitions of {1..n}, canonical, no duplicates."""
     _check_cap(n, cap)
-    return [Partition._trusted(n, blocks) for blocks in _nc_blocks(n)]
+    return [Partition._trusted(n, blocks) for blocks in _nc_blocks(n, n)]
 
 
 def enumerate_nc_le2(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Partition]:
     """The subset of non-crossing partitions whose blocks have size <= 2."""
     _check_cap(n, cap)
-    return [Partition._trusted(n, blocks) for blocks in _nc_le2_blocks(n)]
+    return [Partition._trusted(n, blocks) for blocks in _nc_blocks(n, 2)]

@@ -16,20 +16,22 @@ recursion ``free_pair_prefix_moments`` gives the left sides independently.
 Each pair check reads the marginal cumulants through
 ``pair.x_cumulants()`` and ``pair.y_cumulants()`` once and puts them on
 one integer context: L with R_k L^k an integer for every cumulant used,
-the scaled cumulants, and the moments of S as the ints L^n m_n with the
-table P[s][t] = L^t [z^t] M_S(z)^s, both from the int loop of the
-moment/cumulant transform.  A left side splits on the block holding the
-first letter, whose gaps are words in S, except that the second V of
-V V S^n may open the first gap.  So it is a short sum over P of the block
-weights R_k(X) for the regression and, for the quadratic variance, of
-those of V = den(alpha) (beta X - alpha Y), which the mixed-cumulant check
-reads directly.  Right sides come from the S moments.  Every residual is
-formed as lhs D - rhs D in ints, where D clears every denominator, and
-becomes one Fraction; the moment recursion does the same on the moments of
-the law.  With rational inputs every check is exact.  Float inputs run the
-same loops unscaled, with L = D = 1, and a per-order tolerance of 1e-10
-applies.  The orthogonality check of the law's monic polynomials always
-runs in floats, against a Gauss rule, with a caller-given tolerance.
+and the scaled block weights of S and, for V = den(alpha) (beta X - alpha Y),
+of blocks holding one or two V's, which the mixed-cumulant check reads
+directly.  Regression and quadratic variance also run the int loop of the
+moment/cumulant transform on the weights of S, for the ints L^n m_n and
+the table P[s][t] = L^t [z^t] M_S(z)^s.  A left side splits on the block
+holding the first letter, whose gaps are words in S, except that the
+second V of V V S^n may open the first gap.  So it is a short sum over P
+of the block weights of V; the regression residual tau(X S^n) - alpha
+m_{n+1} is tau(V S^n) / den(alpha), one such sum.  Right sides come from
+the S moments.  Every residual is formed in ints, as lhs D - rhs D where D
+clears every denominator, and becomes one Fraction; the moment recursion
+does the same on the moments of the law.  With rational inputs every check
+is exact.  Float inputs run the same loops unscaled, with L = D = 1, and a
+per-order tolerance of 1e-10 applies.  The orthogonality check of the law's
+monic polynomials always runs in floats, against a Gauss rule, with a
+caller-given tolerance.
 """
 
 from __future__ import annotations
@@ -86,13 +88,13 @@ class RegressionReport:
         return None
 
 
-def _report(identity, orders, residuals, constant=None) -> RegressionReport:
+def _report(identity, orders, residuals, constant=None, tol=FLOAT_TOLERANCE) -> RegressionReport:
     passed = []
     for r in residuals:
         if is_exact(r):
             passed.append(r == 0)
         else:
-            passed.append(abs(r) <= FLOAT_TOLERANCE)
+            passed.append(abs(r) <= tol)
     return RegressionReport(
         identity=identity,
         orders=tuple(orders),
@@ -160,23 +162,28 @@ def _bracket(a, b, scale, exact):
 
 
 def _pair_context(pair: FreePairSpec, order: int, *coefficients):
-    """The pair's cumulants up to ``order`` and the moments of S, on one
+    """The pair's cumulants up to ``order`` as block weights on one
     denominator L by weight.
 
-    Returns (exact, L, X, Y, M, P): X[k-1] = L^k R_k(X) and Y[k-1] = L^k R_k(Y)
-    as read through ``pair.x_cumulants()`` and ``pair.y_cumulants()``, and,
-    from the int loop of the moment/cumulant transform, M[n] = L^n m_n and
-    P[s][t] = L^t [z^t] M(z)^s (s + t <= ``order``) for the law with
-    cumulants R_k(X) + R_k(Y).  The context is exact when those cumulants
-    and the given ``coefficients`` are; float values stay unscaled, L = 1.
+    Returns (exact, L, p, q, S, one, two) for alpha = p / q, with
+    S[k-1] = L^k R_k(S) and, for V = q (beta X - alpha Y),
+    one[k-1] = q L^k R_k(V, S, ..., S) and two[k-1] = q^2 L^k R_k(V, V, S, ..., S),
+    from R_k(X) and R_k(Y) as read through ``pair.x_cumulants()`` and
+    ``pair.y_cumulants()``: a V brings q - p to an X block, -p to a Y block.
+    The context is exact when those cumulants, alpha and the given
+    ``coefficients`` are; float values stay unscaled, L = q = 1, p = alpha.
     """
-    _check_order(order)
+    if order > pair.order:
+        raise OrderCapError(f"need pair cumulants up to order {order}, have {pair.order}")
     x = pair.x_cumulants().values[:order]
     y = pair.y_cumulants().values[:order]
-    exact = all(is_exact(v) for v in (*x, *y, *coefficients))
+    exact = all(is_exact(v) for v in (*x, *y, pair.alpha, *coefficients))
     scale, (xs, ys) = _on_denominator((x, y), exact)
-    ms, power = _transform_loop([u + v for u, v in zip(xs, ys)], False, 1 if exact else 1.0)
-    return exact, scale, xs, ys, ms, power
+    p, q = _parts(pair.alpha, exact)
+    cx, cy = q - p, -p
+    return (exact, scale, p, q, [u + v for u, v in zip(xs, ys)],
+            [cx * u + cy * v for u, v in zip(xs, ys)],
+            [cx * cx * u + cy * cy * v for u, v in zip(xs, ys)])
 
 
 def _heads(weights, rows, order):
@@ -185,14 +192,6 @@ def _heads(weights, rows, order):
     all, counted by rows[s]."""
     return [sum([weights[s] * rows[s][t - s] for s in range(t + 1)])
             for t in range(order + 1)]
-
-
-def _v_weights(xs, ys, p, q):
-    """one[k-1] = q L^k R_k(V, S, ..., S), two[k-1] = q^2 L^k R_k(V, V, S, ..., S)
-    for V = q (beta X - alpha Y), alpha = p / q: a V brings q - p to an X block, -p to Y."""
-    cx, cy = q - p, -p
-    return ([cx * u + cy * v for u, v in zip(xs, ys)],
-            [cx * cx * u + cy * cy * v for u, v in zip(xs, ys)])
 
 
 def _variance_lhs(one, two, power, order):
@@ -208,18 +207,16 @@ def _variance_lhs(one, two, power, order):
 
 
 def verify_linear_regression(pair: FreePairSpec, order: int) -> RegressionReport:
-    """Check tau(X S^n) = alpha m_{n+1} for 1 <= n <= order."""
-    if order + 1 > pair.order:
-        raise OrderCapError(
-            f"need pair cumulants up to order {order + 1}, have {pair.order}"
-        )
-    alpha = pair.alpha
-    exact, scale, xs, ys, ms, power = _pair_context(pair, order + 1, alpha)
-    lhs = _heads(xs, power[1:], order)  # L^(n+1) tau(X S^n): k letters, k gaps
-    p, q = _parts(alpha, exact)
+    """Check tau(X S^n) = alpha m_{n+1} for 1 <= n <= order.
+
+    The residual times q is tau(V S^n) for V = q (beta X - alpha Y), the
+    head sum of ``one`` over the power table of S."""
+    exact, scale, p, q, ss, one, _ = _pair_context(pair, order + 1)
+    _check_order(order + 1)
+    _, power = _transform_loop(ss, False, 1 if exact else 1.0)
+    # q L^(n+1) tau(V S^n): a first block of k letters has k gaps
+    residuals = _heads(one, power[1:], order)[1:]
     orders = range(1, order + 1)
-    # each residual times q L^(n+1)
-    residuals = [q * lhs[n] - p * ms[n + 1] for n in orders]
     if exact:
         residuals = [Fraction(r, q * scale ** (n + 1)) for n, r in zip(orders, residuals)]
     return _report("linear-regression", orders, residuals)
@@ -239,19 +236,17 @@ def verify_quadratic_variance(pair: FreePairSpec, order: int) -> RegressionRepor
     """Check tau(V^2 S^n) = C (m_n + a m_{n+1} + b m_{n+2}) for
     0 <= n <= order, where V = beta X - alpha Y and
     C = alpha beta / (1+b)."""
-    if order + 2 > pair.order:
-        raise OrderCapError(
-            f"need pair cumulants up to order {order + 2}, have {pair.order}"
-        )
+    # a and b come from R_3(S) and R_4(S), so those decide exactness too
+    exact, scale, p, q, ss, one, two = _pair_context(
+        pair, order + 2, *pair.s_cumulants.values[2:4])
     a, b = _conditional_variance_params(pair.s_cumulants)
     if b == -1:
         raise DomainError("conditional-variance constant undefined at b = -1")
-    alpha = pair.alpha
-    c = alpha * pair.beta / (1 + b)
-    exact, scale, xs, ys, ms, power = _pair_context(pair, order + 2, alpha, a, b)
-    p, q = _parts(alpha, exact)
+    c = pair.alpha * pair.beta / (1 + b)
+    _check_order(order + 2)  # after the b = -1 refusal, which wins over the cap
+    ms, power = _transform_loop(ss, False, 1 if exact else 1.0)
     # lhs[n] = q^2 L^(n+2) tau(V V S^n)
-    lhs = _variance_lhs(*_v_weights(xs, ys, p, q), power, order)
+    lhs = _variance_lhs(one, two, power, order)
     e, el2, ea, eb = _bracket(a, b, scale, exact)
     cn, cd = _parts(c, exact)
     left, right = cd * e, q * q * cn
@@ -276,13 +271,10 @@ def verify_mixed_cumulants(pair: FreePairSpec, order: int) -> RegressionReport:
     bilinearity into beta R_n(X) - alpha R_n(Y) and
     beta^2 R_n(X) + alpha^2 R_n(Y).
     """
-    if order > pair.order:
-        raise OrderCapError(f"need pair cumulants up to order {order}, have {pair.order}")
-    exact, scale, xs, ys, _, _ = _pair_context(pair, order, pair.alpha)
-    p, q = _parts(pair.alpha, exact)
-    one, two = _v_weights(xs, ys, p, q)
+    exact, scale, p, q, ss, one, two = _pair_context(pair, order)
+    _check_order(order)
     # R_n(V, S, ...) times q L^n, and R_n(V, V, S, ...) - alpha beta R_n(S) times q^2 L^n
-    square = [w - p * (q - p) * (u + v) for w, u, v in zip(two, xs, ys)]
+    square = [w - p * (q - p) * r for w, r in zip(two, ss)]
     if exact:
         one = [Fraction(v, q * scale ** n) for n, v in enumerate(one, start=1)]
         square = [Fraction(v, q * q * scale ** n) for n, v in enumerate(square, start=1)]
@@ -358,7 +350,7 @@ def verify_orthogonality(p: MeixnerParams, max_degree: int, tol) -> RegressionRe
         values.append(
             [(x - a) * pk - off * pl for x, pk, pl in zip(nodes, values[k], values[k - 1])]
         )
-    orders, residuals, passed = [], [], []
+    residuals = []
     for j in range(1, max_degree + 1):
         pj = values[j]
         worst = 0.0
@@ -367,13 +359,5 @@ def verify_orthogonality(p: MeixnerParams, max_degree: int, tol) -> RegressionRe
             worst = max(worst, abs(val))
         norm = sum([w * v ** 2 for w, v in zip(weights, pj)])
         expected = spread ** (j - 1)
-        worst = max(worst, abs(norm - expected) / max(1.0, expected))
-        orders.append(j)
-        residuals.append(worst)
-        passed.append(worst <= tol)
-    return RegressionReport(
-        identity="orthogonality",
-        orders=tuple(orders),
-        residuals=tuple(residuals),
-        passed=tuple(passed),
-    )
+        residuals.append(max(worst, abs(norm - expected) / max(1.0, expected)))
+    return _report("orthogonality", range(1, max_degree + 1), residuals, tol=tol)

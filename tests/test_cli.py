@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freemeixner.cli import main
+from freemeixner.cli import MAX_DENSITY_POINTS, MAX_SEQUENCE_ORDER, main
 
 PAYLOAD_SCHEMA = {
     "type": "object",
@@ -142,6 +146,14 @@ class TestDensity:
 
     def test_points_validation(self, capsys):
         assert main(["density", "--a", "0", "--b", "0", "--points", "1"]) == 2
+
+    def test_points_limit(self, capsys):
+        code = main(["density", "--points", str(MAX_DENSITY_POINTS + 1)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: points must be <= {MAX_DENSITY_POINTS}, got {MAX_DENSITY_POINTS + 1}\n")
 
     def test_csv_header_carries_atoms(self, capsys):
         code = main(["density", "--a", "2", "--b", "0", "--format", "csv"])
@@ -332,3 +344,72 @@ class TestUsageErrors:
 
     def test_bad_scalar(self):
         assert main(["moments", "--a", "zebra", "--b", "0"]) == 2
+
+    @pytest.mark.parametrize("command", ["atoms", "density", "transform", "verify"])
+    def test_exact_parameter_too_large_for_floats(self, capsys, command):
+        # the float layer cannot hold 10^400; that is a usage error, not a
+        # verification failure
+        code = main([command, "--a", "1" + "0" * 400])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+HUGE = "1" + "0" * 400
+SCALARS = st.sampled_from([
+    "0", "1", "-1", "2", "1/2", "-3/10", "5/2", "-1/5", HUGE, "-" + HUGE, "1/" + HUGE,
+    "0.5", "-0.3", "nan", "inf", "-inf", "1e400", "zebra", "1/0", "",
+])
+ORDERS = st.sampled_from([
+    "-1", "0", "1", "2", "6", str(MAX_SEQUENCE_ORDER), str(MAX_SEQUENCE_ORDER + 1), "40",
+    "1.5", "x",
+])
+POINTS = st.sampled_from([
+    "1", "2", "200", str(MAX_DENSITY_POINTS), str(MAX_DENSITY_POINTS + 1), "100000000", "-5",
+])
+COMPLEX = st.sampled_from(["3+0.5j", "0.05", "0", "-2", "nan", "inf+1j", "1j", "zebra"])
+EPSILONS = st.sampled_from(["1e-9", "1e-30", "0", "-1", "nan", "inf", "zebra"])
+LAW = {"a": SCALARS, "b": SCALARS}
+LEVY = {"eta": SCALARS, "sigma": SCALARS}
+COMMANDS = {
+    "density": {**LAW, "xmin": SCALARS, "xmax": SCALARS, "points": POINTS},
+    "moments": {**LAW, "n": ORDERS},
+    "cumulants": {**LAW, "n": ORDERS, "q": SCALARS,
+                  "method": st.sampled_from(["nc_le2", "semicircle", "from_moments", "x"])},
+    "classify": LAW,
+    "atoms": LAW,
+    "convolve-power": {**LAW, "t": SCALARS, "n": ORDERS},
+    "levy": {**LEVY, "t": SCALARS, "n": ORDERS},
+    "transform": {**LAW, "z": COMPLEX, "eps": EPSILONS},
+    "verify": {**LAW, **LEVY, "alpha": SCALARS, "s": SCALARS, "u": SCALARS, "n": ORDERS,
+               "eps": EPSILONS,
+               "suite": st.sampled_from(["regression", "recursion", "orthogonality", "levy",
+                                         "all"])},
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for flag, values in COMMANDS[command].items():
+        if draw(st.booleans()):
+            argv += [f"--{flag}", draw(values)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    return argv
+
+
+@settings(max_examples=150)
+@given(command_lines())
+def test_fuzzed_command_lines_exit_cleanly(argv):
+    """Every command line is answered (0 or 1) or refused with exit 2 and an
+    error message; no exception escapes and no traceback is printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue()

@@ -39,7 +39,8 @@ from freemeixner import (
     verify_quadratic_variance,
 )
 from freemeixner.scalars import weight_denominator
-from freemeixner.verify import _heads, _pair_context, _v_weights, _variance_lhs
+from freemeixner.cumulants import _transform_loop
+from freemeixner.verify import _heads, _pair_context, _variance_lhs
 
 PRIMES = (7, 9973, 65537, 999983, 2147483647)
 # prime powers and products: a denominator L^k clears only at the right k
@@ -168,25 +169,29 @@ class TestFreePair:
 
     @given(st.integers(0, 16), st.data())
     def test_table_left_sides_match_the_interval_dp(self, n, data):
-        """The verifiers' left sides, sums over the power table of S, against
-        the interval DP on X S^n and on V V S^n for V = beta X - alpha Y, with
-        X and Y cumulants drawn apart, off any alpha split, so that every
-        term of the quadratic-variance split is in play."""
+        """The verifiers' left sides, sums of the context's block weights over
+        the power table of S, against the interval DP on V S^n and on V V S^n
+        for V = beta X - alpha Y, with X and Y cumulants drawn apart, off any
+        alpha split, so that every term of the quadratic-variance split is in
+        play."""
         x = CumulantSequence(data.draw(st.lists(RATIONALS, min_size=n + 2, max_size=n + 2)))
         y = CumulantSequence(data.draw(st.lists(RATIONALS, min_size=n + 2, max_size=n + 2)))
-        q = data.draw(st.integers(2, 30))
-        p = data.draw(st.integers(1, q - 1))
-        alpha, beta = F(p, q), F(q - p, q)
-        pair = SimpleNamespace(x_cumulants=lambda: x, y_cumulants=lambda: y)
-        exact, scale, xs, ys, _, power = _pair_context(pair, n + 2, alpha)
-        assert exact
-        regression = _heads(xs, power[1:], n)
-        variance = _variance_lhs(*_v_weights(xs, ys, p, q), power, n)
-        xh = free_pair_prefix_moments(x, y, "X" + "S" * n)
+        den = data.draw(st.integers(2, 30))
+        alpha = F(data.draw(st.integers(1, den - 1)), den)
+        beta = 1 - alpha
+        p, q = alpha.numerator, alpha.denominator  # the context reduces alpha
+        pair = SimpleNamespace(order=n + 2, alpha=alpha,
+                               x_cumulants=lambda: x, y_cumulants=lambda: y)
+        exact, scale, cp, cq, ss, one, two = _pair_context(pair, n + 2)
+        assert exact and (cp, cq) == (p, q)
+        _, power = _transform_loop(ss, False, 1)
+        regression = _heads(one, power[1:], n)
+        variance = _variance_lhs(one, two, power, n)
+        xh, yh = (free_pair_prefix_moments(x, y, head + "S" * n) for head in "XY")
         xx, xy, yx, yy = (free_pair_prefix_moments(x, y, head + "S" * n)
                           for head in ("XX", "XY", "YX", "YY"))
         for k in range(n + 1):
-            assert regression[k] == scale ** (k + 1) * xh[k]
+            assert regression[k] == q * scale ** (k + 1) * (beta * xh[k] - alpha * yh[k])
             want = beta * beta * xx[k + 1] - alpha * beta * (xy[k + 1] + yx[k + 1]) \
                 + alpha * alpha * yy[k + 1]
             assert variance[k] == q * q * scale ** (k + 2) * want

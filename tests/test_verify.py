@@ -17,6 +17,7 @@ from freemeixner import (
     FreePairSpec,
     LevyParams,
     MeixnerParams,
+    OrderCapError,
     build_free_pair,
     cumulants,
     free_pair_moment,
@@ -178,6 +179,47 @@ class TestMixedCumulants:
         rep = verify_mixed_cumulants(pair, 8)
         assert not rep.ok
         assert rep.first_failure == 5
+
+    def test_runs_no_transform(self, monkeypatch):
+        # the check reads block weights only, never the moments of S
+        def refuse(*args):
+            raise AssertionError("the S transform ran")
+
+        monkeypatch.setattr("freemeixner.verify._transform_loop", refuse)
+        pair = build_free_pair(F(1, 3), MeixnerParams(F(2), F(1)), 10)
+        assert verify_mixed_cumulants(pair, 10).ok
+        with pytest.raises(AssertionError):
+            verify_linear_regression(pair, 8)
+
+
+class TestOrderChecks:
+    SHORT = build_free_pair(F(1, 3), MeixnerParams(F(1), F(1)), 6)
+
+    @pytest.mark.parametrize("check, order, need", [
+        (verify_linear_regression, 6, 7),
+        (verify_quadratic_variance, 5, 7),
+        (verify_mixed_cumulants, 7, 7),
+    ])
+    def test_short_pair(self, check, order, need):
+        message = f"^need pair cumulants up to order {need}, have 6$"
+        with pytest.raises(OrderCapError, match=message):
+            check(self.SHORT, order)
+
+    def test_short_pair_is_refused_before_b_minus_one(self):
+        two_point = FreePairSpec(cumulants(MeixnerParams(0, -1), 4), F(1, 2))
+        with pytest.raises(OrderCapError, match="need pair cumulants up to order 5, have 4"):
+            verify_quadratic_variance(two_point, 3)
+        with pytest.raises(DomainError):
+            verify_quadratic_variance(two_point, 2)
+
+    def test_b_minus_one_is_refused_before_the_order_cap(self):
+        values = cumulants(MeixnerParams(0, -1), MAX_ORDER).values
+        long_pair = FreePairSpec(CumulantSequence(list(values) + [F(0)] * 4), F(1, 2))
+        with pytest.raises(DomainError):
+            verify_quadratic_variance(long_pair, MAX_ORDER)
+        for check in (verify_linear_regression, verify_mixed_cumulants):
+            with pytest.raises(OrderCapError, match="exceeds the supported cap"):
+                check(long_pair, MAX_ORDER + 1)
 
 
 class TestMomentRecursion:
