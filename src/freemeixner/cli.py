@@ -12,7 +12,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
+import cmath
+import io
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -36,33 +39,51 @@ MAX_DENSITY_POINTS = 10_000
 
 
 def _scalar(text: str):
-    """Parse "p/q" and integer strings exactly, decimals as floats."""
+    """Parse "p/q" and integer strings exactly, decimals as finite floats."""
     try:
         if "/" in text:
             return Fraction(text)
         return Fraction(int(text))
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         pass
+    except ValueError:  # int() also refuses integers beyond the digit limit
+        limit = sys.get_int_max_str_digits()
+        if sum(map(str.isdigit, text)) > limit:
+            raise argparse.ArgumentTypeError(
+                f"number too long: {text[:20]!r}... has more than {limit} digits") from None
+    return _float(text)
+
+
+def _float(text: str):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _complex(text: str):
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from None
+        value = math.nan
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite complex number: {text!r}")
+    return value
 
 
 def _cell(v):
     if isinstance(v, Fraction):
-        return str(v)
+        try:
+            return str(v)
+        except ValueError:  # str() refuses integers beyond the digit limit
+            raise FreeMeixnerError(
+                f"an exact result has more than {sys.get_int_max_str_digits()} digits, "
+                "the output limit; lower --n or the size of the parameters") from None
     if isinstance(v, complex):
         return [v.real, v.imag]
-    if isinstance(v, MeixnerType):
-        return v.value
     if isinstance(v, (list, tuple)):
         return [_cell(x) for x in v]
     return v
@@ -144,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate the Cauchy transform and the R-transform at a point",
         **scalars,
         z=(_complex, complex(2.0, 1.0), "evaluation point, e.g. '0.05' or '3+0.5j'"),
-        eps=(float, None, "also report the smoothed density -(1/pi) Im G(Re z + i eps)"),
+        eps=(_float, None, "also report the smoothed density -(1/pi) Im G(Re z + i eps)"),
     )
     ver = add(
         "verify",
@@ -156,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         s=(_scalar, Fraction(1), "earlier Levy time"),
         u=(_scalar, Fraction(2), "later Levy time"),
         n=(int, None, f"max order, 1..{MAX_SEQUENCE_ORDER} (suite-specific default)"),
-        eps=(float, 1e-9, "float-mode tolerance for the orthogonality suite"),
+        eps=(_float, 1e-9, "float-mode tolerance for the orthogonality suite"),
     )
     ver.add_argument(
         "--suite",
@@ -261,8 +282,7 @@ def cmd_convolve_power(opts):
     p = MeixnerParams(opts["a"], opts["b"])
     n = _check_order(opts["n"])
     base = meixner.cumulants(p, max(n, 2))
-    scaled = convolution_power(base, opts["t"])
-    ms = cumulants_to_moments(scaled)
+    ms = cumulants_to_moments(convolution_power(base, opts["t"]))
     data = {
         "t": _cell(opts["t"]),
         "columns": ["n", "m_n"],
@@ -398,20 +418,20 @@ def main(argv=None) -> int:
     exact = not any(isinstance(v, float) for k, v in opts.items() if k not in ("eps", "z"))
     try:
         data, identities, code = _HANDLERS[args.command](opts)
+        payload = {
+            "command": args.command,
+            "params": {k: _cell(v) for k, v in opts.items() if v is not None},
+            "data": data,
+            "provenance": {"identities": identities, "exact": exact},
+        }
+        # rendered in full first, so a refused exact value leaves no partial output
+        out = io.StringIO()
+        (_render_json if args.format == "json" else _render_csv)(payload, out)
     except (FreeMeixnerError, ValueError, OverflowError) as exc:
         # OverflowError: an exact parameter too large for the float layer
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = {
-        "command": args.command,
-        "params": {k: _cell(v) for k, v in opts.items() if v is not None},
-        "data": data,
-        "provenance": {"identities": identities, "exact": exact},
-    }
-    if args.format == "json":
-        _render_json(payload, sys.stdout)
-    else:
-        _render_csv(payload, sys.stdout)
+    sys.stdout.write(out.getvalue())
     return code
 
 

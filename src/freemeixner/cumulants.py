@@ -16,15 +16,8 @@ stays available through :mod:`freemeixner.ncpart` as an independent check.
 Free cumulants add under free convolution, which makes the convolution
 algebra on cumulant sequences elementwise.
 
-Exact results are Fractions, but the kernels (both transforms, the
-free-pair recursion and the q-cumulant recursion) never build a Fraction
-per step.  Their identities are weighted-homogeneous: give R_k and m_k
-weight k, and every term of an order-n output has weight n.  So each call
-takes an integer L that makes x * L^k an integer for each rational input x
-of weight k (``scalars.weight_denominator``), scales its inputs to those
-integers, runs its loop in Python ints, and divides each output by its
-power of L once.
-Float inputs run the same loops unscaled.
+The kernels (both transforms, the free-pair recursion and the q-cumulant
+recursion) run on ints by weight, as :mod:`freemeixner.scalars` describes.
 """
 
 from __future__ import annotations
@@ -33,13 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, OrderCapError
-from .scalars import (
-    Scalar,
-    as_scalar,
-    is_exact,
-    scaled,
-    weight_denominator,
-)
+from .scalars import Scalar, as_scalar, from_weighted, is_exact, to_weighted
 
 # Largest order the O(N^3) transforms, the q-cumulant recursion and the
 # O(N^4) free-pair interval recursion accept; each checks it before any work.
@@ -183,18 +170,13 @@ def _free_transform(values, invert):
     moments it rebuilds, never the ones it was given.
 
     Every term of m_n has weight n (block sizes add up to n), so for
-    rational values the loop runs in ints: with L from
-    ``weight_denominator``, it holds R_n L^n, m_n L^n and power[s][t] L^t,
-    and divides each output by its power of L once.  Float values run the
-    same loop unscaled.
+    rational values the loop holds the ints R_n L^n, m_n L^n and
+    power[s][t] L^t.
     """
-    if not all(is_exact(v) for v in values):
-        return _transform_loop(values, invert, 1.0)[0]
-    scale = weight_denominator(values)
-    values = [scaled(v, scale, n) for n, v in enumerate(values, start=1)]
-    out, _ = _transform_loop(values, invert, 1)
+    one, scale, (values,) = to_weighted(values)
+    out, _ = _transform_loop(values, invert, one)
     # r starts at weight 1, m at weight 0
-    return [Fraction(v, scale ** n) for n, v in enumerate(out, start=int(invert))]
+    return from_weighted(out, scale, int(invert))
 
 
 def cumulants_to_moments(r: CumulantSequence) -> MomentSequence:
@@ -279,10 +261,7 @@ def free_pair_prefix_moments(
     Rows are filled from i = n-1 down to 0, so one pass gives every m[0][j].
     It costs O(n^4) multiplications at worst.  For rational cumulants the
     moments are exact Fractions, computed in ints: a term of m[i][j] has
-    weight j - i, so with L from ``weight_denominator`` over the cumulants
-    used, the table holds L^(j-i) m[i][j] and the weights R_k L^k, and each
-    prefix moment is divided by L^j once.  Float cumulants run the same
-    loop unscaled.
+    weight j - i, so the table holds L^(j-i) m[i][j] and the weights R_k L^k.
     """
     word = list(word)
     if not word:
@@ -297,16 +276,10 @@ def free_pair_prefix_moments(
     except KeyError as exc:
         raise ValueError(f"word symbols must be X, Y or S (got {exc.args[0]!r})") from exc
 
-    # blocks have at most n letters
-    xv = x_cum.values[:n]
-    yv = y_cum.values[:n]
-    if not (x_cum.is_exact and y_cum.is_exact):
-        return tuple(_pair_prefix_loop(xv, yv, colours, 1.0))
-    scale = weight_denominator(xv, yv)
-    xv = [scaled(v, scale, k) for k, v in enumerate(xv, start=1)]
-    yv = [scaled(v, scale, k) for k, v in enumerate(yv, start=1)]
-    out = _pair_prefix_loop(xv, yv, colours, 1)
-    return tuple([Fraction(v, scale ** j) for j, v in enumerate(out, start=1)])
+    # blocks have at most n letters, but the whole sequences decide exactness
+    one, scale, (xv, yv) = to_weighted(
+        x_cum.values[:n], y_cum.values[:n], also=x_cum.values[n:] + y_cum.values[n:])
+    return tuple(from_weighted(_pair_prefix_loop(xv, yv, colours, one), scale, 1))
 
 
 def _pair_prefix_loop(xv, yv, colours, one):
@@ -418,15 +391,10 @@ def q_cumulants(a, b, q, order: int) -> CumulantSequence:
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     _check_order(order)
-    exact = is_exact(a) and is_exact(b) and is_exact(q)
-    if exact:
-        scale = weight_denominator((a, b))
-        a, b = scaled(a, scale, 1), scaled(b, scale, 2)
-        if q.denominator == 1:
-            q = q.numerator
-        r = [0, 1]
-    else:
-        r = [0.0, 1.0]
+    one, scale, ((a, b),) = to_weighted((a, b), also=(q,))
+    if type(q) is Fraction and q.denominator == 1:
+        q = q.numerator  # an integer q keeps the Gaussian binomials in ints
+    r = [one - one, one]
     # at q = 0 every Gaussian binomial is 1
     binom = _q_pascal(order - 2, q) if q else [[1] * order] * order
     for n in range(2, order):
@@ -434,7 +402,5 @@ def q_cumulants(a, b, q, order: int) -> CumulantSequence:
         for j in range(2, n):
             nxt += b * binom[n - 1][j - 1] * r[j - 1] * r[n - j]
         r.append(nxt)
-    if exact:
-        # r[k] holds R_{k+1} L^(k-1); R_1 = 0
-        r = [Fraction(0)] + [Fraction(v, scale ** k) for k, v in enumerate(r[1:])]
-    return CumulantSequence(tuple(r))
+    # r[k] holds R_{k+1} L^(k-1) for k >= 1, and r[0] = R_1 = 0
+    return CumulantSequence((r[0], *from_weighted(r[1:], scale, 0)))

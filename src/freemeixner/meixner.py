@@ -38,7 +38,7 @@ from .cumulants import (
     q_cumulants,
 )
 from .errors import DomainError
-from .scalars import Scalar, as_scalar, exact_sqrt, is_exact, scaled, weight_denominator
+from .scalars import Scalar, as_scalar, exact_sqrt, from_weighted, is_exact, to_weighted
 
 _ATOM_WEIGHT_FLOOR = 1e-12
 # Relative rounding allowance for the terms of an atom's residue numerator.
@@ -311,8 +311,7 @@ def moments(p: MeixnerParams, order: int) -> MomentSequence:
 
 def _exact_moments(a, b, order: int) -> list[Fraction]:
     """:func:`moments` for rational (a, b), on the ints M_n = L^n m_n."""
-    scale = weight_denominator((a, b))
-    a_l = scaled(a, scale, 1)
+    _, scale, ((a_l, _),) = to_weighted((a, b))
     l2 = scale * scale
     m = [1, 0]
     if b == -1:
@@ -326,7 +325,7 @@ def _exact_moments(a, b, order: int) -> list[Fraction]:
                 nxt += m[j] * (l2 * m[n - j] + a_l * m[n + 1 - j])
                 b_sum += m[j] * m[n + 2 - j]
             m.append(nxt + b.numerator * (b_sum // b.denominator))
-    return [Fraction(v, scale ** n) for n, v in enumerate(m[: order + 1])]
+    return from_weighted(m[: order + 1], scale, 0)
 
 
 def semicircle_moments(w: SemicircleParams, order: int) -> MomentSequence:

@@ -3,13 +3,25 @@
 Rational inputs stay rational (``fractions.Fraction``) so that identity
 checks can demand equality instead of tolerances; anything else degrades to
 ``float``.  Mixed arithmetic follows Python's own promotion rules.
+
+Exact results are Fractions, but no exact kernel or verifier builds a
+Fraction per step.  Their identities are weighted-homogeneous: give a
+moment m_k or cumulant R_k weight k, and every term of an order-n output
+has weight n.  So each call takes one integer L that makes v_k L^k an
+integer for every rational input v_k of weight k (:func:`weight_denominator`),
+scales its inputs to those integers (:func:`to_weighted`), runs its loop in
+Python ints, and divides each output by its power of L, and by any
+denominator the loop cleared on top of that, once (:func:`from_weighted`).
+Float inputs run the same loops unscaled, with L = 1.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
 from numbers import Integral, Rational
+from operator import mul
 
 Scalar = Fraction | float
 
@@ -18,6 +30,8 @@ def as_scalar(x) -> Scalar:
     """Coerce to Fraction (ints, rationals) or float (everything real)."""
     if type(x) is Fraction or type(x) is float:
         return x
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(x, (Integral, Rational)):
@@ -56,10 +70,34 @@ def weight_denominator(*sequences) -> int:
     return scale
 
 
-def scaled(x, scale: int, k: int) -> int:
-    """The integer x * scale^k for exact x whose denominator divides
-    ``scale^k``."""
-    return x.numerator * (scale ** k // x.denominator)
+def to_weighted(*sequences, also=()):
+    """(one, L, lists): when every value of ``sequences`` and every scalar in
+    ``also`` is exact, lists[i][k-1] is the int v_k L^k for sequences[i] =
+    (v_1, v_2, ...) and one = 1; otherwise the sequences, unscaled, L = 1
+    and one = 1.0.  ``one`` is what the loops take."""
+    for values in (*sequences, also):
+        for v in values:
+            if type(v) is not Fraction and not is_exact(v):
+                return 1.0, 1, sequences
+    scale = weight_denominator(*sequences)
+    lists = []
+    for values in sequences:
+        power, weighted = 1, []
+        for v in values:
+            power *= scale
+            weighted.append(v.numerator * (power // v.denominator))
+        lists.append(weighted)
+    return 1, scale, lists
+
+
+def from_weighted(values, scale: int, weight: int, den: int = 1) -> list:
+    """values[i] / (den * scale^(weight + i)) as Fractions, for the outputs of
+    a loop fed by :func:`to_weighted`.  Float results pass through unchanged:
+    a float among the values means the loop ran unscaled, with L = den = 1."""
+    if float in map(type, values):
+        return list(values)
+    powers = accumulate(repeat(scale, len(values) - 1), mul, initial=den * scale ** weight)
+    return list(map(Fraction, values, powers))
 
 
 def exact_sqrt(x) -> Scalar:

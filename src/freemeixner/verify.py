@@ -15,8 +15,8 @@ recursion ``free_pair_prefix_moments`` gives the left sides independently.
 
 Each pair check reads the marginal cumulants through
 ``pair.x_cumulants()`` and ``pair.y_cumulants()`` once and puts them on
-one integer context: L with R_k L^k an integer for every cumulant used,
-and the scaled block weights of S and, for V = den(alpha) (beta X - alpha Y),
+one integer context by weight, as :mod:`freemeixner.scalars` describes:
+the scaled block weights of S and, for V = den(alpha) (beta X - alpha Y),
 of blocks holding one or two V's, which the mixed-cumulant check reads
 directly.  Regression and quadratic variance also run the int loop of the
 moment/cumulant transform on the weights of S, for the ints L^n m_n and
@@ -26,19 +26,16 @@ second V of V V S^n may open the first gap.  So it is a short sum over P
 of the block weights of V; the regression residual tau(X S^n) - alpha
 m_{n+1} is tau(V S^n) / den(alpha), one such sum.  Right sides come from
 the S moments.  Every residual is formed in ints, as lhs D - rhs D where D
-clears every denominator, and becomes one Fraction; the moment recursion
-does the same on the moments of the law.  With rational inputs every check
-is exact.  Float inputs run the same loops unscaled, with L = D = 1, and a
-per-order tolerance of 1e-10 applies.  The orthogonality check of the law's
-monic polynomials always runs in floats, against a Gauss rule, with a
-caller-given tolerance.
+clears every denominator; the moment recursion does the same on the
+moments of the law.  Float residuals have a per-order tolerance of 1e-10.
+The orthogonality check of the law's monic polynomials always runs in
+floats, against a Gauss rule, with a caller-given tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .cumulants import (
     CumulantSequence,
@@ -49,14 +46,7 @@ from .cumulants import (
 from .errors import DomainError, OrderCapError
 from .meixner import LevyParams, MeixnerParams, cumulants
 from .numerics import gauss_rule
-from .scalars import (
-    Scalar,
-    as_scalar,
-    exact_sqrt,
-    is_exact,
-    scaled,
-    weight_denominator,
-)
+from .scalars import Scalar, as_scalar, exact_sqrt, from_weighted, is_exact, to_weighted
 
 FLOAT_TOLERANCE = 1e-10
 
@@ -136,27 +126,16 @@ def build_free_pair(alpha, p: MeixnerParams, order: int) -> FreePairSpec:
     return FreePairSpec(cumulants(p, order), alpha)
 
 
-def _on_denominator(sequences, exact):
-    """(L, scaled) with scaled[i][k-1] = v_k L^k for sequences[i] = (v_1, ...),
-    L from ``weight_denominator``: ints when ``exact``.  Float sequences
-    come back as lists, with L = 1."""
-    if not exact:
-        return 1, [list(seq) for seq in sequences]
-    scale = weight_denominator(*sequences)
-    return scale, [[scaled(v, scale, k) for k, v in enumerate(seq, start=1)]
-                   for seq in sequences]
+def _parts(x, unit):
+    """Numerator and denominator of x on an exact context; (x, 1) when ``unit`` is 1.0."""
+    return (x, 1) if type(unit) is float else (x.numerator, x.denominator)
 
 
-def _parts(x, exact):
-    """Numerator and denominator of x when ``exact``; (x, 1) for floats."""
-    return (x.numerator, x.denominator) if exact else (x, 1)
-
-
-def _bracket(a, b, scale, exact):
+def _bracket(a, b, scale, unit):
     """(E, E L^2, a E L, b E) for E = lcm(den a, den b): times E L^(k+2),
     m_k + a m_{k+1} + b m_{k+2} is E L^2 M_k + a E L M_{k+1} + b E M_{k+2}
     in the moments M_k = L^k m_k.  For floats E = 1 and L = 1."""
-    (an, ad), (bn, bd) = _parts(a, exact), _parts(b, exact)
+    (an, ad), (bn, bd) = _parts(a, unit), _parts(b, unit)
     e = math.lcm(ad, bd)
     return e, e * scale * scale, an * (e // ad) * scale, bn * (e // bd)
 
@@ -165,23 +144,22 @@ def _pair_context(pair: FreePairSpec, order: int, *coefficients):
     """The pair's cumulants up to ``order`` as block weights on one
     denominator L by weight.
 
-    Returns (exact, L, p, q, S, one, two) for alpha = p / q, with
+    Returns (unit, L, p, q, S, one, two) for alpha = p / q, with
     S[k-1] = L^k R_k(S) and, for V = q (beta X - alpha Y),
     one[k-1] = q L^k R_k(V, S, ..., S) and two[k-1] = q^2 L^k R_k(V, V, S, ..., S),
     from R_k(X) and R_k(Y) as read through ``pair.x_cumulants()`` and
     ``pair.y_cumulants()``: a V brings q - p to an X block, -p to a Y block.
-    The context is exact when those cumulants, alpha and the given
-    ``coefficients`` are; float values stay unscaled, L = q = 1, p = alpha.
+    The context is exact, with unit = 1, when those cumulants, alpha and the
+    given ``coefficients`` are; else unit = 1.0, L = q = 1 and p = alpha.
     """
     if order > pair.order:
         raise OrderCapError(f"need pair cumulants up to order {order}, have {pair.order}")
-    x = pair.x_cumulants().values[:order]
-    y = pair.y_cumulants().values[:order]
-    exact = all(is_exact(v) for v in (*x, *y, pair.alpha, *coefficients))
-    scale, (xs, ys) = _on_denominator((x, y), exact)
-    p, q = _parts(pair.alpha, exact)
+    unit, scale, (xs, ys) = to_weighted(
+        pair.x_cumulants().values[:order], pair.y_cumulants().values[:order],
+        also=(pair.alpha, *coefficients))
+    p, q = _parts(pair.alpha, unit)
     cx, cy = q - p, -p
-    return (exact, scale, p, q, [u + v for u, v in zip(xs, ys)],
+    return (unit, scale, p, q, [u + v for u, v in zip(xs, ys)],
             [cx * u + cy * v for u, v in zip(xs, ys)],
             [cx * cx * u + cy * cy * v for u, v in zip(xs, ys)])
 
@@ -211,15 +189,13 @@ def verify_linear_regression(pair: FreePairSpec, order: int) -> RegressionReport
 
     The residual times q is tau(V S^n) for V = q (beta X - alpha Y), the
     head sum of ``one`` over the power table of S."""
-    exact, scale, p, q, ss, one, _ = _pair_context(pair, order + 1)
+    unit, scale, p, q, ss, one, _ = _pair_context(pair, order + 1)
     _check_order(order + 1)
-    _, power = _transform_loop(ss, False, 1 if exact else 1.0)
+    _, power = _transform_loop(ss, False, unit)
     # q L^(n+1) tau(V S^n): a first block of k letters has k gaps
     residuals = _heads(one, power[1:], order)[1:]
-    orders = range(1, order + 1)
-    if exact:
-        residuals = [Fraction(r, q * scale ** (n + 1)) for n, r in zip(orders, residuals)]
-    return _report("linear-regression", orders, residuals)
+    return _report("linear-regression", range(1, order + 1),
+                   from_weighted(residuals, scale, 2, q))
 
 
 def _conditional_variance_params(s: CumulantSequence):
@@ -237,18 +213,18 @@ def verify_quadratic_variance(pair: FreePairSpec, order: int) -> RegressionRepor
     0 <= n <= order, where V = beta X - alpha Y and
     C = alpha beta / (1+b)."""
     # a and b come from R_3(S) and R_4(S), so those decide exactness too
-    exact, scale, p, q, ss, one, two = _pair_context(
+    unit, scale, p, q, ss, one, two = _pair_context(
         pair, order + 2, *pair.s_cumulants.values[2:4])
     a, b = _conditional_variance_params(pair.s_cumulants)
     if b == -1:
         raise DomainError("conditional-variance constant undefined at b = -1")
     c = pair.alpha * pair.beta / (1 + b)
     _check_order(order + 2)  # after the b = -1 refusal, which wins over the cap
-    ms, power = _transform_loop(ss, False, 1 if exact else 1.0)
+    ms, power = _transform_loop(ss, False, unit)
     # lhs[n] = q^2 L^(n+2) tau(V V S^n)
     lhs = _variance_lhs(one, two, power, order)
-    e, el2, ea, eb = _bracket(a, b, scale, exact)
-    cn, cd = _parts(c, exact)
+    e, el2, ea, eb = _bracket(a, b, scale, unit)
+    cn, cd = _parts(c, unit)
     left, right = cd * e, q * q * cn
     orders = range(0, order + 1)
     # each residual times q^2 cd E L^(n+2)
@@ -256,9 +232,7 @@ def verify_quadratic_variance(pair: FreePairSpec, order: int) -> RegressionRepor
         left * lhs[n] - right * (el2 * ms[n] + ea * ms[n + 1] + eb * ms[n + 2])
         for n in orders
     ]
-    if exact:
-        den = q * q * cd * e
-        residuals = [Fraction(r, den * scale ** (n + 2)) for n, r in zip(orders, residuals)]
+    residuals = from_weighted(residuals, scale, 2, q * q * cd * e)
     return _report("quadratic-variance", orders, residuals, constant=c)
 
 
@@ -271,13 +245,12 @@ def verify_mixed_cumulants(pair: FreePairSpec, order: int) -> RegressionReport:
     bilinearity into beta R_n(X) - alpha R_n(Y) and
     beta^2 R_n(X) + alpha^2 R_n(Y).
     """
-    exact, scale, p, q, ss, one, two = _pair_context(pair, order)
+    _, scale, p, q, ss, one, two = _pair_context(pair, order)
     _check_order(order)
     # R_n(V, S, ...) times q L^n, and R_n(V, V, S, ...) - alpha beta R_n(S) times q^2 L^n
     square = [w - p * (q - p) * r for w, r in zip(two, ss)]
-    if exact:
-        one = [Fraction(v, q * scale ** n) for n, v in enumerate(one, start=1)]
-        square = [Fraction(v, q * q * scale ** n) for n, v in enumerate(square, start=1)]
+    one = from_weighted(one, scale, 1, q)
+    square = from_weighted(square, scale, 1, q * q)
     orders = range(2, order + 1)
     residuals = [max(abs(one[n - 1]), abs(square[n - 1])) for n in orders]
     return _report("mixed-cumulants", orders, residuals)
@@ -297,10 +270,9 @@ def verify_moment_recursion(p: MeixnerParams, order: int) -> RegressionReport:
     the check that the two agree."""
     if p.b == -1:
         raise DomainError("the moment recursion is degenerate at b = -1")
-    exact = p.is_exact
-    scale, (rs,) = _on_denominator((cumulants(p, order).values,), exact)
-    ms, _ = _transform_loop(rs, False, 1 if exact else 1.0)  # ms[n] = L^n m_n
-    e, el2, ea, eb = _bracket(p.a, p.b, scale, exact)
+    unit, scale, (rs,) = to_weighted(cumulants(p, order).values)
+    ms, _ = _transform_loop(rs, False, unit)  # ms[n] = L^n m_n
+    e, el2, ea, eb = _bracket(p.a, p.b, scale, unit)
     top = e + eb  # (1+b) E
     residuals = []
     orders = range(2, order + 1)
@@ -310,9 +282,7 @@ def verify_moment_recursion(p: MeixnerParams, order: int) -> RegressionReport:
         for j in range(n + 1):
             rhs += ms[j] * (el2 * ms[n - j] + ea * ms[n + 1 - j] + eb * ms[n + 2 - j])
         residuals.append(top * ms[target] - rhs)
-    if exact:
-        residuals = [Fraction(r, e * scale ** t) for t, r in zip(orders, residuals)]
-    return _report("moment-recursion", orders, residuals)
+    return _report("moment-recursion", orders, from_weighted(residuals, scale, 2, e))
 
 
 def verify_levy_martingale(l: LevyParams, s, u, order: int) -> RegressionReport:

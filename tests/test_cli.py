@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import jsonschema
 import pytest
@@ -355,10 +356,44 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    # one digit past the longest integer Python converts to or from text
+    LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--a", "nan", "--b", "0"], "argument --a: not a finite number: 'nan'"),
+        (["classify", "--a", "0", "--b", "inf"], "argument --b: not a finite number: 'inf'"),
+        (["classify", "--a", "1e400", "--b", "0"], "argument --a: not a finite number: '1e400'"),
+        (["moments", "--a", LONG], "argument --a: number too long"),
+        (["moments", "--b", "1/" + LONG], "argument --b: number too long"),
+        (["levy", "--t", "-" + LONG], "argument --t: number too long"),
+        (["transform", "--z", "nan"], "argument --z: not a finite complex number: 'nan'"),
+        (["transform", "--z", "1e400+1j"], "argument --z: not a finite complex number"),
+        (["transform", "--z", "0.5", "--eps", "inf"], "argument --eps: not a finite number"),
+        (["verify", "--eps", "nan"], "argument --eps: not a finite number: 'nan'"),
+    ])
+    def test_non_finite_or_too_long_input_rejected(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_result_beyond_the_digit_limit_rejected(self, capsys, fmt):
+        # m_24 of a 200-digit a has about 200 * 22 digits
+        code = main(["moments", "--a", "7" * 200, "--n", "24", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert f"more than {limit} digits, the output limit; lower --n" in captured.err
+        assert "set_int_max_str_digits" not in captured.err
+
 
 HUGE = "1" + "0" * 400
 SCALARS = st.sampled_from([
     "0", "1", "-1", "2", "1/2", "-3/10", "5/2", "-1/5", HUGE, "-" + HUGE, "1/" + HUGE,
+    "7" * 200, TestUsageErrors.LONG, "1/" + TestUsageErrors.LONG,
     "0.5", "-0.3", "nan", "inf", "-inf", "1e400", "zebra", "1/0", "",
 ])
 ORDERS = st.sampled_from([
@@ -368,8 +403,9 @@ ORDERS = st.sampled_from([
 POINTS = st.sampled_from([
     "1", "2", "200", str(MAX_DENSITY_POINTS), str(MAX_DENSITY_POINTS + 1), "100000000", "-5",
 ])
-COMPLEX = st.sampled_from(["3+0.5j", "0.05", "0", "-2", "nan", "inf+1j", "1j", "zebra"])
-EPSILONS = st.sampled_from(["1e-9", "1e-30", "0", "-1", "nan", "inf", "zebra"])
+COMPLEX = st.sampled_from(["3+0.5j", "0.05", "0", "-2", "nan", "inf+1j", "1e400j", "1j",
+                           "zebra"])
+EPSILONS = st.sampled_from(["1e-9", "1e-30", "0", "-1", "nan", "inf", "1e400", "zebra"])
 LAW = {"a": SCALARS, "b": SCALARS}
 LEVY = {"eta": SCALARS, "sigma": SCALARS}
 COMMANDS = {
@@ -405,7 +441,8 @@ def command_lines(draw):
 @given(command_lines())
 def test_fuzzed_command_lines_exit_cleanly(argv):
     """Every command line is answered (0 or 1) or refused with exit 2 and an
-    error message; no exception escapes and no traceback is printed."""
+    error message; no exception escapes and no traceback is printed.  A JSON
+    answer is strict JSON, without NaN or Infinity."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -413,3 +450,9 @@ def test_fuzzed_command_lines_exit_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert "error:" in err.getvalue()
+    elif "csv" not in argv:
+        json.loads(out.getvalue(), parse_constant=_not_json)
+
+
+def _not_json(constant):
+    raise AssertionError(f"{constant} in JSON output")

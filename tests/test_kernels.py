@@ -7,8 +7,10 @@ zeros, negative values and large coprime denominators, so a wrong power of
 the denominator cannot cancel.
 """
 
+import ast
 import math
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +23,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freemeixner
 from freemeixner import (
     MAX_ORDER,
     CumulantSequence,
@@ -38,7 +41,7 @@ from freemeixner import (
     verify_moment_recursion,
     verify_quadratic_variance,
 )
-from freemeixner.scalars import weight_denominator
+from freemeixner.scalars import from_weighted, to_weighted, weight_denominator
 from freemeixner.cumulants import _transform_loop
 from freemeixner.verify import _heads, _pair_context, _variance_lhs
 
@@ -52,6 +55,8 @@ RATIONALS = st.one_of(
     st.builds(F, st.integers(-10**6, 10**6), st.sampled_from(POWERS)),
 )
 FLOATS = st.one_of(st.just(0.0), st.just(-0.0), st.floats(min_value=-4, max_value=4))
+# Fractions among floats: such input runs the float loops unscaled
+MIXED = st.one_of(FLOATS, RATIONALS)
 
 
 def assert_exact_equal(got, want):
@@ -59,8 +64,13 @@ def assert_exact_equal(got, want):
     assert all(type(v) is F for v in got)
 
 
+def bits(values):
+    """Each value's type and, for a float, its bits."""
+    return [(type(v), float.hex(v) if type(v) is float else v) for v in values]
+
+
 def assert_same_bits(got, want):
-    assert [float.hex(v) for v in got] == [float.hex(v) for v in want]
+    assert bits(got) == bits(want)
 
 
 class TestTransforms:
@@ -79,12 +89,68 @@ class TestTransforms:
         got = moments_to_cumulants(MomentSequence([1] + values)).values
         assert_exact_equal(got, fraction_free_transform(values, invert=True))
 
-    @given(st.lists(FLOATS, min_size=1, max_size=MAX_ORDER))
+    @given(st.one_of(st.lists(FLOATS, min_size=1, max_size=MAX_ORDER),
+                     st.lists(MIXED, min_size=1, max_size=MAX_ORDER)))
     def test_float_bits(self, values):
         got = cumulants_to_moments(CumulantSequence(values)).values
         assert_same_bits(got, fraction_free_transform(values, invert=False))
         got = moments_to_cumulants(MomentSequence([1.0] + values)).values
         assert_same_bits(got, fraction_free_transform(values, invert=True))
+
+
+class TestWeightedFormat:
+    @given(st.lists(st.lists(RATIONALS, max_size=12), min_size=1, max_size=3))
+    def test_exact_round_trip(self, sequences):
+        one, scale, lists = to_weighted(*sequences)
+        assert type(one) is int and one == 1
+        assert scale == weight_denominator(*sequences)
+        for values, weighted in zip(sequences, lists):
+            assert all(type(v) is int for v in weighted)
+            assert_exact_equal(from_weighted(weighted, scale, 1), values)
+
+    @given(st.lists(st.lists(MIXED, max_size=12), min_size=1, max_size=3)
+           .filter(lambda seqs: any(type(v) is float for seq in seqs for v in seq)))
+    def test_float_and_mixed_round_trip(self, sequences):
+        one, scale, lists = to_weighted(*sequences)
+        assert type(one) is float and one == 1 and scale == 1
+        for values, weighted in zip(sequences, lists):
+            assert_same_bits(from_weighted(weighted, scale, 1), values)
+
+    def test_float_also_forces_the_unscaled_path(self):
+        values = [F(1, 3), F(5, 9)]
+        assert to_weighted(values, also=(F(1, 7),)) == (1, 3, [[1, 5]])
+        one, scale, (same,) = to_weighted(values, also=(0.5,))
+        assert (type(one), one, scale) == (float, 1.0, 1)
+        assert_same_bits(same, values)
+
+    def test_from_weighted_divides_by_den_and_the_power_of_l(self):
+        assert_same_bits(from_weighted([6, 12, 40], 2, 1, den=3), [F(1), F(1), F(5, 3)])
+        assert_same_bits(from_weighted([-3, F(1, 2)], 5, 0), [F(-3), F(1, 10)])
+        # a float result comes from a loop that ran unscaled
+        assert_same_bits(from_weighted([0.75, F(1, 2)], 1, 2), [0.75, F(1, 2)])
+
+    def test_mixed_sequences_keep_their_types(self):
+        """Fractions among floats stay where the float loops leave them."""
+        got = cumulants_to_moments(CumulantSequence((F(0), 1.5))).values
+        assert_same_bits(got, (1.0, F(0), 1.5))
+        got = moments_to_cumulants(MomentSequence((1, F(0), 1.5))).values
+        assert_same_bits(got, (F(0), 1.5))
+
+    def test_only_scalars_names_the_format(self):
+        """Every exact kernel and verifier scales through ``to_weighted`` and
+        ``from_weighted``: no other module names ``weight_denominator`` or
+        ``scaled``, or branches on a bare ``exact`` flag."""
+        forbidden = {"weight_denominator", "scaled"}
+        for path in sorted(Path(freemeixner.__file__).parent.glob("*.py")):
+            if path.name == "scalars.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+                names = {getattr(node, f, None) for f in ("id", "attr", "name", "asname", "arg")}
+                assert not names & forbidden, where
+                if isinstance(node, (ast.If, ast.IfExp)):
+                    test = node.test
+                    assert not (isinstance(test, ast.Name) and test.id == "exact"), where
 
 
 class TestWeightDenominator:
@@ -161,7 +227,7 @@ class TestFreePair:
         got = free_pair_prefix_moments(x, y, word)
         assert_exact_equal(got, fraction_pair_prefix_moments(x, y, word))
 
-    @given(pair_cases(FLOATS))
+    @given(st.one_of(pair_cases(FLOATS), pair_cases(MIXED)))
     def test_float_bits(self, case):
         word, x, y = case
         got = free_pair_prefix_moments(x, y, word)
@@ -182,8 +248,8 @@ class TestFreePair:
         p, q = alpha.numerator, alpha.denominator  # the context reduces alpha
         pair = SimpleNamespace(order=n + 2, alpha=alpha,
                                x_cumulants=lambda: x, y_cumulants=lambda: y)
-        exact, scale, cp, cq, ss, one, two = _pair_context(pair, n + 2)
-        assert exact and (cp, cq) == (p, q)
+        unit, scale, cp, cq, ss, one, two = _pair_context(pair, n + 2)
+        assert type(unit) is int and (cp, cq) == (p, q)
         _, power = _transform_loop(ss, False, 1)
         regression = _heads(one, power[1:], n)
         variance = _variance_lhs(one, two, power, n)

@@ -205,6 +205,12 @@ class TestOrderChecks:
         with pytest.raises(OrderCapError, match=message):
             check(self.SHORT, order)
 
+    def test_quadratic_variance_needs_the_fourth_cumulant(self):
+        # order 0 reads S cumulants only to order 2, but a and b need R_3 and R_4
+        three = build_free_pair(F(1, 3), MeixnerParams(1, 1), 3)
+        with pytest.raises(OrderCapError, match="^need S cumulants at least to order 4$"):
+            verify_quadratic_variance(three, 0)
+
     def test_short_pair_is_refused_before_b_minus_one(self):
         two_point = FreePairSpec(cumulants(MeixnerParams(0, -1), 4), F(1, 2))
         with pytest.raises(OrderCapError, match="need pair cumulants up to order 5, have 4"):
