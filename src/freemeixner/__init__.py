@@ -24,8 +24,6 @@ from .cumulants import (
     moments_to_cumulants,
     q_binomial,
     q_cumulants,
-    q_factorial,
-    q_integer,
     translate,
 )
 from .errors import (

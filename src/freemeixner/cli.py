@@ -20,9 +20,9 @@ import re
 import sys
 from fractions import Fraction
 
-# let argparse accept negative rationals ("-3/10") and complex literals
-# ("-1-2j") as option values rather than mistaking them for flags
-_NEGATIVE_VALUE = re.compile(r"^-[0-9.+\-/jJeE]+$")
+# let argparse accept negative rationals ("-3/10"), complex literals ("-1-2j"),
+# "-inf" and "-nan" as option values rather than mistaking them for flags
+_NEGATIVE_VALUE = re.compile(r"^-(?:[0-9.+\-/je]|inf(?:inity)?|nan)+$", re.IGNORECASE)
 
 from . import meixner, numerics, verify
 from .cumulants import (
@@ -75,6 +75,19 @@ def _complex(text: str):
 
 
 def _cell(v):
+    """v for output, through dicts, lists and tuples (floats first: they fill
+    the long tables); a non-finite float is refused."""
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return v
+        raise FreeMeixnerError(f"a result is {v}, not a finite number; the parameters "
+                               "are too large for double precision")
+    if isinstance(v, (list, tuple)):
+        return [_cell(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _cell(x) for k, x in v.items()}
+    if isinstance(v, complex):
+        return [_cell(v.real), _cell(v.imag)]
     if isinstance(v, Fraction):
         try:
             return str(v)
@@ -82,10 +95,6 @@ def _cell(v):
             raise FreeMeixnerError(
                 f"an exact result has more than {sys.get_int_max_str_digits()} digits, "
                 "the output limit; lower --n or the size of the parameters") from None
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, (list, tuple)):
-        return [_cell(x) for x in v]
     return v
 
 
@@ -191,17 +200,13 @@ def _report_dict(rep: verify.RegressionReport):
     out = {
         "identity": rep.identity,
         "orders": list(rep.orders),
-        "max_residual": _cell(rep.max_residual),
+        "max_residual": rep.max_residual,
         "passed": rep.ok,
         "failures": [o for o, good in zip(rep.orders, rep.passed) if not good],
     }
     if rep.constant is not None:
-        out["constant"] = _cell(rep.constant)
+        out["constant"] = rep.constant
     return out
-
-
-def _sequence_rows(values, start):
-    return [[n, _cell(v)] for n, v in enumerate(values, start=start)]
 
 
 def cmd_density(opts):
@@ -232,7 +237,7 @@ def cmd_moments(opts):
     p = MeixnerParams(opts["a"], opts["b"])
     n = _check_order(opts["n"])
     ms = meixner.moments(p, n)
-    data = {"columns": ["n", "m_n"], "rows": _sequence_rows(ms.values, 0)}
+    data = {"columns": ["n", "m_n"], "rows": list(enumerate(ms.values))}
     tag = "two-point-law" if p.b == -1 else "moment-recursion"
     return data, [tag], 0
 
@@ -250,7 +255,7 @@ def cmd_cumulants(opts):
             "semicircle": "semicircle-moments",
             "from_moments": "moment-inversion",
         }[opts["method"]]
-    data = {"columns": ["n", "R_n"], "rows": _sequence_rows(seq.values, 1)}
+    data = {"columns": ["n", "R_n"], "rows": list(enumerate(seq.values, 1))}
     return data, [tag], 0
 
 
@@ -284,9 +289,9 @@ def cmd_convolve_power(opts):
     base = meixner.cumulants(p, max(n, 2))
     ms = cumulants_to_moments(convolution_power(base, opts["t"]))
     data = {
-        "t": _cell(opts["t"]),
+        "t": opts["t"],
         "columns": ["n", "m_n"],
-        "rows": _sequence_rows(ms.values[: n + 1], 0),
+        "rows": list(enumerate(ms.values[: n + 1])),
     }
     return data, ["cumulant-scaling", "moment-recursion"], 0
 
@@ -299,10 +304,10 @@ def cmd_levy(opts):
     base = meixner.cumulants(MeixnerParams(l.eta, l.sigma), max(n, 2))
     ms = cumulants_to_moments(convolution_power(base, t, formal=True))
     data = {
-        "marginal_params": [_cell(marginal.a), _cell(marginal.b)],
-        "dilation": _cell(dilation),
+        "marginal_params": [marginal.a, marginal.b],
+        "dilation": dilation,
         "columns": ["n", "m_n"],
-        "rows": _sequence_rows(ms.values[: n + 1], 0),
+        "rows": list(enumerate(ms.values[: n + 1])),
     }
     return data, ["levy-marginal", "cumulant-scaling"], 0
 
@@ -310,14 +315,14 @@ def cmd_levy(opts):
 def cmd_transform(opts):
     p = MeixnerParams(opts["a"], opts["b"])
     z = opts["z"]
-    data = {"z": _cell(z)}
+    data = {"z": z}
     try:
-        data["cauchy"] = _cell(meixner.cauchy_transform(p, z))
+        data["cauchy"] = meixner.cauchy_transform(p, z)
     except FreeMeixnerError as exc:
         data["cauchy"] = None
         data["cauchy_error"] = str(exc)
     try:
-        data["r"] = _cell(meixner.r_transform(p, z))
+        data["r"] = meixner.r_transform(p, z)
     except FreeMeixnerError as exc:
         data["r"] = None
         data["r_error"] = str(exc)
@@ -374,7 +379,7 @@ _HANDLERS = {
 
 
 def _render_json(payload, out):
-    json.dump(payload, out, default=_cell, indent=2)
+    json.dump(payload, out, indent=2)
     out.write("\n")
 
 
@@ -399,11 +404,8 @@ def _render_csv(payload, out):
 
 
 def _csv_text(v):
-    v = _cell(v)
     if isinstance(v, list):
         return ";".join(str(x) for x in v)
-    if isinstance(v, dict):
-        return ";".join(f"{k}={x}" for k, x in v.items())
     return str(v)
 
 
@@ -418,12 +420,12 @@ def main(argv=None) -> int:
     exact = not any(isinstance(v, float) for k, v in opts.items() if k not in ("eps", "z"))
     try:
         data, identities, code = _HANDLERS[args.command](opts)
-        payload = {
+        payload = _cell({
             "command": args.command,
-            "params": {k: _cell(v) for k, v in opts.items() if v is not None},
+            "params": {k: v for k, v in opts.items() if v is not None},
             "data": data,
             "provenance": {"identities": identities, "exact": exact},
-        }
+        })
         # rendered in full first, so a refused exact value leaves no partial output
         out = io.StringIO()
         (_render_json if args.format == "json" else _render_csv)(payload, out)

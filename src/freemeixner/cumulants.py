@@ -17,13 +17,13 @@ Free cumulants add under free convolution, which makes the convolution
 algebra on cumulant sequences elementwise.
 
 The kernels (both transforms, the free-pair recursion and the q-cumulant
-recursion) run on ints by weight, as :mod:`freemeixner.scalars` describes.
+recursion at every rational q) run on ints by weight, as
+:mod:`freemeixner.scalars` describes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, OrderCapError
 from .scalars import Scalar, as_scalar, from_weighted, is_exact, to_weighted
@@ -336,35 +336,30 @@ def joint_moment_free_pair(pair: FreePairSpec, word) -> Scalar:
     return free_pair_moment(pair.x_cumulants(), pair.y_cumulants(), word)
 
 
-def q_integer(n: int, q) -> Scalar:
-    """[n]_q = 1 + q + ... + q^(n-1), with [0]_q = 0."""
-    q = as_scalar(q)
-    return sum((q ** i for i in range(n)), Fraction(0) if is_exact(q) else 0.0)
-
-
-def q_factorial(n: int, q) -> Scalar:
-    out = as_scalar(1) if is_exact(as_scalar(q)) else 1.0
-    for i in range(1, n + 1):
-        out = out * q_integer(i, q)
-    return out
-
-
-def _q_pascal(n_max: int, q) -> list[list[Scalar]]:
-    """Rows 0..n_max of Gaussian binomials by the q-Pascal rule
-    [n choose k]_q = [n-1 choose k-1]_q + q^k [n-1 choose k]_q."""
-    one = q ** 0  # 1 in q's own type, so an int q keeps the table in ints
+def _q_pascal(n_max: int, u, v) -> list[list[Scalar]]:
+    """Rows 0..n_max of G[n][k] = v^(k(n-k)) [n choose k]_q for q = u/v, by the
+    q-Pascal rule on them, G[n][k] = v^(n-k) G[n-1][k-1] + u^k G[n-1][k]: ints
+    for integers u and v, [n choose k]_q in q's type for u = q and v = 1."""
+    up = [u ** k for k in range(n_max + 1)]
+    vp = [v ** k for k in range(n_max + 1)]
+    one = up[0]
     rows = [[one]]
     for n in range(1, n_max + 1):
-        prev = rows[-1]
-        rows.append([one] + [prev[k - 1] + q ** k * prev[k] for k in range(1, n)] + [one])
+        prev, row = rows[-1], [one] * (n + 1)
+        for k in range(1, n):
+            row[k] = vp[n - k] * prev[k - 1] + up[k] * prev[k]
+        rows.append(row)
     return rows
 
 
 def q_binomial(n: int, k: int, q) -> Scalar:
-    """Gaussian binomial coefficient [n choose k]_q; reduces to 1 at q = 0."""
+    """Gaussian binomial coefficient [n choose k]_q; reduces to 1 at q = 0 and
+    is a Fraction for rational q."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return _q_pascal(n, as_scalar(q))[n][k]
+    # q has weight 1: L = v and q L = u
+    _, v, ((u,),) = to_weighted((as_scalar(q),))
+    return from_weighted([_q_pascal(n, u, v)[n][k]], v, k * (n - k))[0]
 
 
 def q_cumulants(a, b, q, order: int) -> CumulantSequence:
@@ -378,29 +373,33 @@ def q_cumulants(a, b, q, order: int) -> CumulantSequence:
     for n >= 2.  At q = 0 this reproduces the free cumulants of the
     standardized law with parameters (a, b).
 
-    R_n has weight n - 2 when a has weight 1 and b weight 2, so for
-    rational (a, b, q) the loop runs with the integers a L, b L^2 and
-    R_n L^(n-2).  It stays in ints at q = 0 and q = 1; for other rational
-    q the Gaussian binomials stay Fractions.
+    R_n has weight n - 2 when a has weight 1 and b weight 2, so rational
+    (a, b, q), q = u/v, run the loop on the ints a L, b L^2, the G[n][k] of
+    :func:`_q_pascal` and r[k] = v^T(k+1) L^(k-1) R_{k+1}, T(m) = (m-2)(m-3)/2.
+    Then every term of order n + 1 lacks the same power of v, v^(n-2) on the
+    a-term and v^(n-3) on each b-term, which a and b carry.  v = 1 at q = 0, 1.
     """
-    a = as_scalar(a)
-    b = as_scalar(b)
-    q = as_scalar(q)
+    a, b, q = as_scalar(a), as_scalar(b), as_scalar(q)
     if not -1 < q <= 1:
         raise DomainError(f"q must lie in (-1, 1], got {q}")
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
     _check_order(order)
     one, scale, ((a, b),) = to_weighted((a, b), also=(q,))
-    if type(q) is Fraction and q.denominator == 1:
-        q = q.numerator  # an integer q keeps the Gaussian binomials in ints
-    r = [one - one, one]
+    # q = u/v when the loop runs on ints; an unscaled loop takes q whole
+    u, v = (q, 1) if type(one) is float else (q.numerator, q.denominator)
     # at q = 0 every Gaussian binomial is 1
-    binom = _q_pascal(order - 2, q) if q else [[1] * order] * order
+    binom = _q_pascal(order - 2, u, v) if u else [[1] * order] * order
+    r = [one - one, one]
     for n in range(2, order):
         nxt = a * r[n - 1]
         for j in range(2, n):
             nxt += b * binom[n - 1][j - 1] * r[j - 1] * r[n - j]
         r.append(nxt)
-    # r[k] holds R_{k+1} L^(k-1) for k >= 1, and r[0] = R_1 = 0
-    return CumulantSequence((r[0], *from_weighted(r[1:], scale, 0)))
+        if v != 1:  # a carries v^(n-2) at order n + 1, b v^(n-3) from n = 3 on
+            a, b = a * v, (b * v if n > 2 else b)
+    # r[k] holds v^T(k+1) R_{k+1} L^(k-1) for k >= 1, and r[0] = R_1 = 0
+    out = from_weighted(r[1:], scale, 0)
+    if v != 1:
+        out = [x / v ** ((k - 1) * (k - 2) // 2) for k, x in enumerate(out, start=1)]
+    return CumulantSequence((r[0], *out))

@@ -29,7 +29,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cumulants import (
     CumulantSequence,
@@ -309,7 +308,7 @@ def moments(p: MeixnerParams, order: int) -> MomentSequence:
     return MomentSequence(tuple(m[: order + 1]))
 
 
-def _exact_moments(a, b, order: int) -> list[Fraction]:
+def _exact_moments(a, b, order: int) -> list:
     """:func:`moments` for rational (a, b), on the ints M_n = L^n m_n."""
     _, scale, ((a_l, _),) = to_weighted((a, b))
     l2 = scale * scale
@@ -332,11 +331,13 @@ def semicircle_moments(w: SemicircleParams, order: int) -> MomentSequence:
     """Raw moments of the semicircle law with the given mean and variance.
 
     Central moments are Catalan(k) * variance^k at order 2k and zero at odd
-    orders; raw moments follow by a binomial shift.
+    orders; raw moments follow by a binomial shift.  With the mean of weight 1
+    and the variance of weight 2, m_n has weight n, so rational parameters
+    run the loops on the ints mean L, variance L^2 and m_n L^n.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    mean, var = w.mean, w.variance
+    _, scale, ((mean, var),) = to_weighted((w.mean, w.variance))
     central: list[Scalar] = []
     for n in range(order + 1):
         if n % 2 == 1:
@@ -351,7 +352,7 @@ def semicircle_moments(w: SemicircleParams, order: int) -> MomentSequence:
         for j in range(n + 1):
             acc += math.comb(n, j) * mean ** (n - j) * central[j]
         raw.append(acc)
-    return MomentSequence(tuple(raw))
+    return MomentSequence(tuple(from_weighted(raw, scale, 0)))
 
 
 def cumulants(p: MeixnerParams, order: int, method: str = "nc_le2") -> CumulantSequence:

@@ -1,6 +1,7 @@
 """Shared brute-force oracles, deliberately independent of the library paths
 they check."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import settings
@@ -150,6 +151,20 @@ def nc_pair_moment_oracle(x_values, y_values, word):
     return total
 
 
+def q_integer(n: int, q) -> Scalar:
+    """[n]_q = 1 + q + ... + q^(n-1), with [0]_q = 0."""
+    q = as_scalar(q)
+    return sum((q ** i for i in range(n)), Fraction(0) if is_exact(q) else 0.0)
+
+
+def q_factorial(n: int, q) -> Scalar:
+    """[n]_q! = [1]_q [2]_q ... [n]_q."""
+    out = as_scalar(1) if is_exact(as_scalar(q)) else 1.0
+    for i in range(1, n + 1):
+        out = out * q_integer(i, q)
+    return out
+
+
 # The Fraction loops the exact kernels ran before they moved to scaled
 # ints, kept verbatim (argument checks dropped) as references: on rational
 # input the kernels must return equal Fractions, on float input the same
@@ -265,6 +280,26 @@ def fraction_moments(p, order):
                 nxt += m[j] * (m[n - j] + a * m[n + 1 - j] + b * m[n + 2 - j])
             m.append(nxt)
     return tuple(m[: order + 1])
+
+
+def fraction_semicircle_moments(w, order):
+    """Reference for ``meixner.semicircle_moments``: (m_0, ..., m_order)."""
+    mean, var = w.mean, w.variance
+    central: list[Scalar] = []
+    for n in range(order + 1):
+        if n % 2 == 1:
+            central.append(0)
+        else:
+            k = n // 2
+            catalan = math.comb(2 * k, k) // (k + 1)
+            central.append(catalan * var ** k)
+    raw = []
+    for n in range(order + 1):
+        acc = 0
+        for j in range(n + 1):
+            acc += math.comb(n, j) * mean ** (n - j) * central[j]
+        raw.append(acc)
+    return tuple(raw)
 
 
 # The Fraction residual loops the exact verifiers ran before they moved to

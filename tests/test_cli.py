@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 
 import jsonschema
@@ -370,6 +371,11 @@ class TestUsageErrors:
         (["transform", "--z", "1e400+1j"], "argument --z: not a finite complex number"),
         (["transform", "--z", "0.5", "--eps", "inf"], "argument --eps: not a finite number"),
         (["verify", "--eps", "nan"], "argument --eps: not a finite number: 'nan'"),
+        (["classify", "--a", "-inf"], "argument --a: not a finite number: '-inf'"),
+        (["classify", "--b", "-nan"], "argument --b: not a finite number: '-nan'"),
+        (["moments", "--a", "-Infinity"], "argument --a: not a finite number: '-Infinity'"),
+        (["moments", "--b", "-NaN"], "argument --b: not a finite number: '-NaN'"),
+        (["transform", "--z", "-inf"], "argument --z: not a finite complex number: '-inf'"),
     ])
     def test_non_finite_or_too_long_input_rejected(self, capsys, argv, message):
         code = main(argv)
@@ -377,6 +383,16 @@ class TestUsageErrors:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_float_result_rejected(self, capsys, fmt):
+        # m_4 = a^2 + ... overflows a double at a = 1e200; JSON has no
+        # Infinity and a CSV cell "inf" is no answer either
+        code = main(["moments", "--a", "1e200", "--n", "4", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: a result is inf, not a finite number" in captured.err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_result_beyond_the_digit_limit_rejected(self, capsys, fmt):
@@ -394,7 +410,8 @@ HUGE = "1" + "0" * 400
 SCALARS = st.sampled_from([
     "0", "1", "-1", "2", "1/2", "-3/10", "5/2", "-1/5", HUGE, "-" + HUGE, "1/" + HUGE,
     "7" * 200, TestUsageErrors.LONG, "1/" + TestUsageErrors.LONG,
-    "0.5", "-0.3", "nan", "inf", "-inf", "1e400", "zebra", "1/0", "",
+    "0.5", "-0.3", "1e200", "-1e200", "nan", "inf", "-inf", "-nan", "1e400", "zebra", "1/0",
+    "",
 ])
 ORDERS = st.sampled_from([
     "-1", "0", "1", "2", "6", str(MAX_SEQUENCE_ORDER), str(MAX_SEQUENCE_ORDER + 1), "40",
@@ -442,7 +459,8 @@ def command_lines(draw):
 def test_fuzzed_command_lines_exit_cleanly(argv):
     """Every command line is answered (0 or 1) or refused with exit 2 and an
     error message; no exception escapes and no traceback is printed.  A JSON
-    answer is strict JSON, without NaN or Infinity."""
+    answer is strict JSON, without NaN or Infinity, and a CSV answer has no
+    inf or nan cell."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -452,6 +470,8 @@ def test_fuzzed_command_lines_exit_cleanly(argv):
         assert "error:" in err.getvalue()
     elif "csv" not in argv:
         json.loads(out.getvalue(), parse_constant=_not_json)
+    else:
+        assert not {"inf", "-inf", "nan"} & set(re.split(r"[\s,;]+", out.getvalue()))
 
 
 def _not_json(constant):

@@ -7,6 +7,7 @@ from conftest import (
     nc_le2_cumulant_oracle,
     nc_moment_oracle,
     nc_pair_moment_oracle,
+    q_factorial,
     slow_pair_moment,
 )
 from hypothesis import given, settings
@@ -32,7 +33,6 @@ from freemeixner import (
     moments_to_cumulants,
     q_binomial,
     q_cumulants,
-    q_factorial,
     translate,
 )
 

@@ -68,7 +68,7 @@ PACKAGE_ALL = [
     "jacobi_coefficients", "joint_moment_free_pair", "levy_marginal",
     "marginal_law_params", "meixner", "moment_generating", "moments",
     "moments_to_cumulants", "ncpart", "numerics", "orthogonal_polynomial",
-    "panel_integral", "q_binomial", "q_cumulants", "q_factorial", "q_integer",
+    "panel_integral", "q_binomial", "q_cumulants",
     "r_transform", "scalars", "semicircle_moments", "series_radius", "singleton_count",
     "stieltjes_invert", "support", "translate", "verify", "verify_levy_martingale",
     "verify_linear_regression", "verify_mixed_cumulants", "verify_moment_recursion",

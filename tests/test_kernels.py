@@ -19,6 +19,8 @@ from conftest import (
     fraction_moments,
     fraction_pair_prefix_moments,
     fraction_q_cumulants,
+    fraction_q_pascal,
+    fraction_semicircle_moments,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,12 +32,16 @@ from freemeixner import (
     MeixnerParams,
     MomentSequence,
     OrderCapError,
+    SemicircleParams,
     build_free_pair,
+    cumulants,
     cumulants_to_moments,
     free_pair_prefix_moments,
     moments,
     moments_to_cumulants,
+    q_binomial,
     q_cumulants,
+    semicircle_moments,
     verify_linear_regression,
     verify_mixed_cumulants,
     verify_moment_recursion,
@@ -139,7 +145,8 @@ class TestWeightedFormat:
     def test_only_scalars_names_the_format(self):
         """Every exact kernel and verifier scales through ``to_weighted`` and
         ``from_weighted``: no other module names ``weight_denominator`` or
-        ``scaled``, or branches on a bare ``exact`` flag."""
+        ``scaled``, or branches on a bare ``exact`` flag, and none but the
+        CLI, which parses and prints them, imports ``Fraction``."""
         forbidden = {"weight_denominator", "scaled"}
         for path in sorted(Path(freemeixner.__file__).parent.glob("*.py")):
             if path.name == "scalars.py":
@@ -148,6 +155,9 @@ class TestWeightedFormat:
                 where = f"{path.name}:{getattr(node, 'lineno', '?')}"
                 names = {getattr(node, f, None) for f in ("id", "attr", "name", "asname", "arg")}
                 assert not names & forbidden, where
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "cli.py":
+                    imported = {getattr(node, "module", None), *(a.name for a in node.names)}
+                    assert not imported & {"fractions", "Fraction"}, where
                 if isinstance(node, (ast.If, ast.IfExp)):
                     test = node.test
                     assert not (isinstance(test, ast.Name) and test.id == "exact"), where
@@ -194,7 +204,25 @@ class TestMoments:
         assert_same_bits(moments(p, order).values, fraction_moments(p, order))
 
 
-Q_VALUES = (F(0), F(1), F(1, 2), F(-1, 3))
+class TestSemicircleMoments:
+    @given(RATIONALS, RATIONALS.map(abs), st.integers(0, 40))
+    def test_exact(self, mean, variance, order):
+        w = SemicircleParams(mean, variance)
+        assert_exact_equal(semicircle_moments(w, order).values,
+                           fraction_semicircle_moments(w, order))
+
+    @given(st.one_of(st.tuples(FLOATS, FLOATS.map(abs)), st.tuples(MIXED, MIXED.map(abs))),
+           st.integers(0, 40))
+    def test_float_and_mixed_bits(self, params, order):
+        w = SemicircleParams(*params)
+        assert_same_bits(semicircle_moments(w, order).values,
+                         fraction_semicircle_moments(w, order))
+
+
+# q = 0 and q = 1 run with v = 1; the others on q = u/v with v > 1
+Q_VALUES = (F(0), F(1), F(1, 2), F(-1, 3), F(2, 7), F(-5, 9), F(99, 100))
+FLOAT_Q = st.one_of(st.sampled_from(Q_VALUES).map(float),
+                    st.floats(min_value=-1, max_value=1, exclude_min=True))
 
 
 class TestQCumulants:
@@ -203,10 +231,32 @@ class TestQCumulants:
         got = q_cumulants(a, b, q, order).values
         assert_exact_equal(got, fraction_q_cumulants(a, b, q, order))
 
-    @given(FLOATS, FLOATS, st.sampled_from(Q_VALUES).map(float), st.integers(2, 32))
+    @given(FLOATS, FLOATS, FLOAT_Q, st.integers(2, 32))
     def test_float_bits(self, a, b, q, order):
         assert_same_bits(q_cumulants(a, b, q, order).values,
                          fraction_q_cumulants(a, b, q, order))
+
+    @given(RATIONALS, RATIONALS, FLOAT_Q, st.integers(2, 32))
+    def test_exact_law_with_float_q(self, a, b, q, order):
+        assert_same_bits(q_cumulants(a, b, q, order).values,
+                         fraction_q_cumulants(a, b, q, order))
+
+    @given(RATIONALS, FLOATS, st.sampled_from(Q_VALUES), st.integers(2, 32))
+    def test_exact_a_with_float_b(self, a, b, q, order):
+        """A float b makes the loop run unscaled, so it takes a rational q
+        whole.  At q = 1/2 a loop split on q = u/v would scale the floats by
+        powers of 2 and keep their bits; at -1/3 or 2/7 it would not."""
+        assert_same_bits(q_cumulants(a, b, q, order).values,
+                         fraction_q_cumulants(a, b, q, order))
+
+
+class TestQBinomial:
+    @pytest.mark.parametrize("q", Q_VALUES + tuple(map(float, Q_VALUES)) + (0.3, -0.77))
+    def test_matches_the_fraction_table(self, q):
+        """Fractions for rational q, the reference's float bits for float q."""
+        table = fraction_q_pascal(20, q)
+        for n, row in enumerate(table):
+            assert_same_bits([q_binomial(n, k, q) for k in range(n + 1)], row)
 
 
 @st.composite
@@ -306,6 +356,9 @@ PAIR26 = build_free_pair(F(1, 3), LAW, 26)
         (lambda: cumulants_to_moments(R32), 32),
         (lambda: moments_to_cumulants(M32), 32),
         (lambda: q_cumulants(LAW.a, LAW.b, 0, 32), 32),
+        (lambda: q_cumulants(LAW.a, LAW.b, F(1, 2), 32), 32),
+        (lambda: q_cumulants(LAW.a, LAW.b, F(-1, 3), 32), 32),
+        (lambda: cumulants(LAW, 32, method="semicircle"), 32),
         (lambda: moments(LAW, 32), 32),
         (lambda: free_pair_prefix_moments(X17, Y17, "X" + "S" * 16), 17),
         (lambda: verify_linear_regression(PAIR26, 24), 3 * 24),
@@ -313,7 +366,8 @@ PAIR26 = build_free_pair(F(1, 3), LAW, 26)
         (lambda: verify_mixed_cumulants(PAIR26, 24), 3 * 24),
         (lambda: verify_moment_recursion(LAW, 24), 3 * 24),
     ],
-    ids=["cumulants_to_moments", "moments_to_cumulants", "q_cumulants", "moments",
+    ids=["cumulants_to_moments", "moments_to_cumulants", "q_cumulants",
+         "q_cumulants_half", "q_cumulants_minus_third", "semicircle", "moments",
          "free_pair_prefix_moments", "verify_linear_regression",
          "verify_quadratic_variance", "verify_mixed_cumulants", "verify_moment_recursion"],
 )
