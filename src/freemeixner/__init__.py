@@ -7,6 +7,12 @@ conditional-moment verifiers) and a floating-point analytic layer (Cauchy
 and R transforms, densities with atoms, Gauss quadrature, Stieltjes
 inversion).  Rational inputs stay rational all the way through the exact
 layer.  The package needs only the standard library.
+
+The errors, scalars, cumulants and meixner layers load with the package.
+The partition enumerators (``ncpart``), the float layer (``numerics``) and
+the identity verifiers (``verify``) load on first use: their names below
+are served by the module ``__getattr__`` (PEP 562), so a CLI call imports
+only the layers its subcommand runs.
 """
 
 from .cumulants import (
@@ -55,34 +61,35 @@ from .meixner import (
     series_radius,
     support,
 )
-from .ncpart import (
-    DEFAULT_ENUMERATION_CAP,
-    Partition,
-    enumerate_nc,
-    enumerate_nc_le2,
-    is_crossing,
-    singleton_count,
-)
-from .numerics import (
-    IntegralEstimate,
-    QuadratureRule,
-    gauss_rule,
-    integrate_against_law,
-    panel_integral,
-    stieltjes_invert,
-)
-from .verify import (
-    RegressionReport,
-    build_free_pair,
-    marginal_law_params,
-    verify_levy_martingale,
-    verify_linear_regression,
-    verify_mixed_cumulants,
-    verify_moment_recursion,
-    verify_orthogonality,
-    verify_quadratic_variance,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# name -> the layer that defines it, for the layers that load on first use
+_LAZY = {
+    name: module
+    for module, names in (
+        ("ncpart", ("DEFAULT_ENUMERATION_CAP", "Partition", "enumerate_nc",
+                    "enumerate_nc_le2", "is_crossing", "singleton_count")),
+        ("numerics", ("IntegralEstimate", "QuadratureRule", "gauss_rule",
+                      "integrate_against_law", "panel_integral", "stieltjes_invert")),
+        ("verify", ("RegressionReport", "build_free_pair", "marginal_law_params",
+                    "verify_levy_martingale", "verify_linear_regression",
+                    "verify_mixed_cumulants", "verify_moment_recursion",
+                    "verify_orthogonality", "verify_quadratic_variance")),
+    )
+    for name in (module, *names)
+}
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_LAZY)
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value

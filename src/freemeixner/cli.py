@@ -24,7 +24,7 @@ from fractions import Fraction
 # "-inf" and "-nan" as option values rather than mistaking them for flags
 _NEGATIVE_VALUE = re.compile(r"^-(?:[0-9.+\-/je]|inf(?:inity)?|nan)+$", re.IGNORECASE)
 
-from . import meixner, numerics, verify
+from . import meixner
 from .cumulants import (
     convolution_power,
     cumulants_to_moments,
@@ -185,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
         sigma=(_scalar, Fraction(0), "Levy curvature parameter"),
         s=(_scalar, Fraction(1), "earlier Levy time"),
         u=(_scalar, Fraction(2), "later Levy time"),
-        n=(int, None, f"max order, 1..{MAX_SEQUENCE_ORDER} (suite-specific default)"),
+        n=(int, None, f"max order, 1..{MAX_SEQUENCE_ORDER} (suite-specific default); "
+                      "orthogonality checks degree min(n, 10)"),
         eps=(_float, 1e-9, "float-mode tolerance for the orthogonality suite"),
     )
     ver.add_argument(
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_dict(rep: verify.RegressionReport):
+def _report_dict(rep):
     out = {
         "identity": rep.identity,
         "orders": list(rep.orders),
@@ -327,11 +328,15 @@ def cmd_transform(opts):
         data["r"] = None
         data["r_error"] = str(exc)
     if opts.get("eps") is not None and z.imag == 0:
-        data["smoothed_density"] = numerics.stieltjes_invert(p, z.real, opts["eps"])
+        from .numerics import stieltjes_invert
+
+        data["smoothed_density"] = stieltjes_invert(p, z.real, opts["eps"])
     return data, ["cauchy-transform", "r-transform"], 0
 
 
 def cmd_verify(opts):
+    from . import verify  # the one command that loads the verifiers
+
     suite = opts["suite"]
     n = opts["n"]
     if n is not None:

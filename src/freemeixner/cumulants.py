@@ -23,10 +23,8 @@ recursion at every rational q) run on ints by weight, as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, OrderCapError
-from .scalars import Scalar, as_scalar, from_weighted, is_exact, to_weighted
+from .scalars import Frozen, Scalar, as_scalar, from_weighted, is_exact, to_weighted
 
 # Largest order the O(N^3) transforms, the q-cumulant recursion and the
 # O(N^4) free-pair interval recursion accept; each checks it before any work.
@@ -40,18 +38,19 @@ def _coerce_values(values):
     return tuple([as_scalar(v) for v in values])
 
 
-@dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(Frozen):
     """Raw moments (m_0, ..., m_N) of a probability law, with m_0 = 1."""
 
+    __slots__ = ("values",)
     values: tuple[Scalar, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _coerce_values(self.values))
-        if not self.values:
+    def __init__(self, values):
+        values = _coerce_values(values)
+        if not values:
             raise ValueError("moment sequence needs at least m_0")
-        if self.values[0] != 1:
-            raise ValueError(f"m_0 must be 1, got {self.values[0]}")
+        if values[0] != 1:
+            raise ValueError(f"m_0 must be 1, got {values[0]}")
+        object.__setattr__(self, "values", values)
 
     @property
     def order(self) -> int:
@@ -68,16 +67,17 @@ class MomentSequence:
         return self.values[n]
 
 
-@dataclass(frozen=True)
-class CumulantSequence:
+class CumulantSequence(Frozen):
     """Free cumulants (R_1, ..., R_N); any real sequence is admissible."""
 
+    __slots__ = ("values",)
     values: tuple[Scalar, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _coerce_values(self.values))
-        if not self.values:
+    def __init__(self, values):
+        values = _coerce_values(values)
+        if not values:
             raise ValueError("cumulant sequence needs at least R_1")
+        object.__setattr__(self, "values", values)
 
     @property
     def order(self) -> int:
@@ -94,8 +94,7 @@ class CumulantSequence:
         return self.values[n - 1]
 
 
-@dataclass(frozen=True)
-class FreePairSpec:
+class FreePairSpec(Frozen):
     """A free pair (X, Y) determined by the cumulants of S = X + Y.
 
     ``alpha`` is the variance split tau(X^2) of a centered standardized
@@ -103,13 +102,16 @@ class FreePairSpec:
     drift out of sync: R_n(X) = alpha R_n(S) and R_n(Y) = (1-alpha) R_n(S).
     """
 
+    __slots__ = ("s_cumulants", "alpha")
     s_cumulants: CumulantSequence
     alpha: Scalar
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_scalar(self.alpha))
-        if not 0 < self.alpha < 1:
-            raise DomainError(f"alpha must lie in (0,1), got {self.alpha}")
+    def __init__(self, s_cumulants, alpha):
+        alpha = as_scalar(alpha)
+        if not 0 < alpha < 1:
+            raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+        object.__setattr__(self, "s_cumulants", s_cumulants)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def beta(self) -> Scalar:

@@ -28,7 +28,6 @@ import cmath
 import enum
 import math
 import sys
-from dataclasses import dataclass
 
 from .cumulants import (
     CumulantSequence,
@@ -37,58 +36,64 @@ from .cumulants import (
     q_cumulants,
 )
 from .errors import DomainError
-from .scalars import Scalar, as_scalar, exact_sqrt, from_weighted, is_exact, to_weighted
+from .scalars import Frozen, Scalar, as_scalar, exact_sqrt, from_weighted, is_exact, to_weighted
 
 _ATOM_WEIGHT_FLOOR = 1e-12
 # Relative rounding allowance for the terms of an atom's residue numerator.
 _ATOM_ROUNDING = 16 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class MeixnerParams:
+class MeixnerParams(Frozen):
     """Parameters (a, b) of a standardized free Meixner law; b >= -1."""
 
+    __slots__ = ("a", "b")
     a: Scalar
     b: Scalar
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_scalar(self.a))
-        object.__setattr__(self, "b", as_scalar(self.b))
-        if self.b < -1:
-            raise DomainError(f"b must be >= -1, got {self.b}")
+    def __init__(self, a, b):
+        a = as_scalar(a)
+        b = as_scalar(b)
+        if b < -1:
+            raise DomainError(f"b must be >= -1, got {b}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def is_exact(self) -> bool:
         return is_exact(self.a) and is_exact(self.b)
 
 
-@dataclass(frozen=True)
-class SemicircleParams:
+class SemicircleParams(Frozen):
     """Mean and variance of a semicircle law (variance 0 means a point mass)."""
 
+    __slots__ = ("mean", "variance")
     mean: Scalar
     variance: Scalar
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean", as_scalar(self.mean))
-        object.__setattr__(self, "variance", as_scalar(self.variance))
-        if self.variance < 0:
-            raise DomainError(f"variance must be >= 0, got {self.variance}")
+    def __init__(self, mean, variance):
+        mean = as_scalar(mean)
+        variance = as_scalar(variance)
+        if variance < 0:
+            raise DomainError(f"variance must be >= 0, got {variance}")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", variance)
 
 
-@dataclass(frozen=True)
-class LevyParams:
+class LevyParams(Frozen):
     """Drift/curvature parameters (eta, sigma) of the quadratic-variance
     free Levy process; sigma >= 0."""
 
+    __slots__ = ("eta", "sigma")
     eta: Scalar
     sigma: Scalar
 
-    def __post_init__(self):
-        object.__setattr__(self, "eta", as_scalar(self.eta))
-        object.__setattr__(self, "sigma", as_scalar(self.sigma))
-        if self.sigma < 0:
-            raise DomainError(f"sigma must be >= 0, got {self.sigma}")
+    def __init__(self, eta, sigma):
+        eta = as_scalar(eta)
+        sigma = as_scalar(sigma)
+        if sigma < 0:
+            raise DomainError(f"sigma must be >= 0, got {sigma}")
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "sigma", sigma)
 
 
 class MeixnerType(enum.Enum):
@@ -187,13 +192,18 @@ def atoms(p: MeixnerParams) -> list[tuple[float, float]]:
     return found
 
 
-@dataclass(frozen=True)
-class MeixnerLaw:
+class MeixnerLaw(Frozen):
     """A free Meixner law with its derived support and atom list."""
 
+    __slots__ = ("params", "support", "atoms")
     params: MeixnerParams
     support: tuple[float, float]
     atoms: tuple[tuple[float, float], ...]
+
+    def __init__(self, params, support, atoms):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "atoms", atoms)
 
     @classmethod
     def from_params(cls, p: MeixnerParams) -> "MeixnerLaw":
@@ -380,8 +390,9 @@ def cumulants(p: MeixnerParams, order: int, method: str = "nc_le2") -> CumulantS
                 f"semicircle method needs b >= 0 (got b={b}); the shifted "
                 "semicircle is not a measure below that"
             )
-        sm = semicircle_moments(SemicircleParams(a, b), order - 2)
-        return CumulantSequence((0,) + tuple(sm.values))
+        sm = semicircle_moments(SemicircleParams(a, b), order - 2).values
+        # R_1 = 0 in the type of m_0, as the other methods give it
+        return CumulantSequence((type(sm[0])(0),) + sm)
     if method == "from_moments":
         return moments_to_cumulants(moments(p, order))
     raise ValueError(f"unknown method {method!r}; use nc_le2, semicircle or from_moments")

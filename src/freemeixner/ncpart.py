@@ -14,28 +14,28 @@ deduplicated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import EnumerationCapError
+from .scalars import Frozen
 
 # Enumeration sizes grow like the Catalan numbers; past this point a single
 # call would materialize tens of millions of blocks.
 DEFAULT_ENUMERATION_CAP = 14
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A set partition of {1..n} in canonical block order."""
 
+    __slots__ = ("n", "blocks")
     n: int
     blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"ground set size must be >= 0, got {self.n}")
+    def __init__(self, n, blocks):
+        if n < 0:
+            raise ValueError(f"ground set size must be >= 0, got {n}")
         seen = set()
         prev_least = 0
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("empty block")
             if list(block) != sorted(block):
@@ -44,18 +44,20 @@ class Partition:
                 raise ValueError("blocks are not ordered by least element")
             prev_least = block[0]
             for i in block:
-                if not 1 <= i <= self.n:
-                    raise ValueError(f"element {i} outside 1..{self.n}")
+                if not 1 <= i <= n:
+                    raise ValueError(f"element {i} outside 1..{n}")
                 if i in seen:
                     raise ValueError(f"element {i} appears twice")
                 seen.add(i)
-        if len(seen) != self.n:
+        if len(seen) != n:
             raise ValueError("blocks do not cover the ground set")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def _trusted(cls, n, blocks):
         """Build a Partition the enumerators already know to be canonical,
-        skipping the validation in ``__post_init__``."""
+        skipping the validation in ``__init__``."""
         part = object.__new__(cls)
         object.__setattr__(part, "n", n)
         object.__setattr__(part, "blocks", blocks)

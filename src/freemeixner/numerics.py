@@ -12,10 +12,10 @@ routine over lists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NumericError
 from .meixner import MeixnerLaw, MeixnerParams, cauchy_transform, jacobi_coefficients
+from .scalars import Frozen
 
 _WEIGHT_SUM_TOL = 1e-12
 _TARGET_ABS_ERROR = 1e-10
@@ -93,29 +93,35 @@ _GL_NODES, _GL_WEIGHTS = _tridiagonal_eigen(
 _GL_WEIGHTS = [2.0 * w for w in _GL_WEIGHTS]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(Frozen):
     """Nodes (strictly increasing) and positive weights summing to one."""
 
+    __slots__ = ("nodes", "weights")
     nodes: tuple[float, ...]
     weights: tuple[float, ...]
 
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
+    def __init__(self, nodes, weights):
+        if any(b <= a for a, b in zip(nodes, nodes[1:])):
             raise NumericError("quadrature nodes are not strictly increasing")
-        if any(w <= 0 for w in self.weights):
+        if any(w <= 0 for w in weights):
             raise NumericError("quadrature weights must be positive")
-        if abs(sum(self.weights) - 1.0) > _WEIGHT_SUM_TOL:
-            raise NumericError(f"weights sum to {sum(self.weights)!r}, not 1")
+        if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
+            raise NumericError(f"weights sum to {sum(weights)!r}, not 1")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
 
     def integrate(self, f) -> float:
         return float(sum(w * f(x) for x, w in zip(self.nodes, self.weights)))
 
 
-@dataclass(frozen=True)
-class IntegralEstimate:
+class IntegralEstimate(Frozen):
+    __slots__ = ("value", "error")
     value: float
     error: float
+
+    def __init__(self, value, error):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "error", error)
 
 
 def gauss_rule(p: MeixnerParams, n: int) -> QuadratureRule:

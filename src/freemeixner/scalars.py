@@ -1,4 +1,4 @@
-"""Scalar policy helpers.
+"""Scalar policy helpers, and the base of the value classes that hold scalars.
 
 Rational inputs stay rational (``fractions.Fraction``) so that identity
 checks can demand equality instead of tolerances; anything else degrades to
@@ -13,6 +13,9 @@ scales its inputs to those integers (:func:`to_weighted`), runs its loop in
 Python ints, and divides each output by its power of L, and by any
 denominator the loop cleared on top of that, once (:func:`from_weighted`).
 Float inputs run the same loops unscaled, with L = 1.
+
+The package's values (law parameters, moment and cumulant sequences,
+reports) are immutable and compare by their fields: see :class:`Frozen`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,53 @@ from numbers import Integral, Rational
 from operator import mul
 
 Scalar = Fraction | float
+
+# == and hash of a Frozen subclass, compiled for its fields as dataclasses
+# would, so they build the field tuples inline.
+_COMPARISONS = """
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine},) == ({theirs},)
+    return NotImplemented
+def __hash__(self):
+    return hash(({mine},))
+"""
+
+
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass lists its fields in ``__slots__`` and writes an ``__init__``
+    that validates its arguments, then sets each field once with
+    ``object.__setattr__``.  From the slots it gets equality (same class,
+    equal fields) and a hash by field, the ``Name(field=value, ...)`` repr,
+    ``__match_args__``, and pickling and copying through the constructor.
+    Assigning or deleting an attribute raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__slots__
+        cls.__match_args__ = fields
+        code = {}
+        exec(_COMPARISONS.format(mine=",".join(f"self.{f}" for f in fields),
+                                 theirs=",".join(f"other.{f}" for f in fields)), code)
+        cls.__eq__ = code["__eq__"]
+        cls.__hash__ = code["__hash__"]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f) for f in self.__slots__])
 
 
 def as_scalar(x) -> Scalar:

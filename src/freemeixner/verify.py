@@ -35,7 +35,6 @@ floats, against a Gauss rule, with a caller-given tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .cumulants import (
     CumulantSequence,
@@ -45,21 +44,27 @@ from .cumulants import (
 )
 from .errors import DomainError, OrderCapError
 from .meixner import LevyParams, MeixnerParams, cumulants
-from .numerics import gauss_rule
-from .scalars import Scalar, as_scalar, exact_sqrt, from_weighted, is_exact, to_weighted
+from .scalars import Frozen, Scalar, as_scalar, exact_sqrt, from_weighted, is_exact, to_weighted
 
 FLOAT_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class RegressionReport:
+class RegressionReport(Frozen):
     """Outcome of one identity check: residuals and pass/fail per order."""
 
+    __slots__ = ("identity", "orders", "residuals", "passed", "constant")
     identity: str
     orders: tuple[int, ...]
     residuals: tuple[Scalar, ...]
     passed: tuple[bool, ...]
-    constant: Scalar | None = None
+    constant: Scalar | None
+
+    def __init__(self, identity, orders, residuals, passed, constant=None):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "residuals", residuals)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "constant", constant)
 
     @property
     def ok(self) -> bool:
@@ -299,7 +304,8 @@ def verify_levy_martingale(l: LevyParams, s, u, order: int) -> RegressionReport:
         raise DomainError(f"need 0 < s < u, got s={s}, u={u}")
     base = cumulants(MeixnerParams(l.eta, l.sigma), order + 1)
     pair = FreePairSpec(CumulantSequence([u * r for r in base.values]), alpha=s / u)
-    return replace(verify_linear_regression(pair, order), identity="levy-martingale")
+    rep = verify_linear_regression(pair, order)
+    return RegressionReport("levy-martingale", rep.orders, rep.residuals, rep.passed, rep.constant)
 
 
 def verify_orthogonality(p: MeixnerParams, max_degree: int, tol) -> RegressionReport:
@@ -310,6 +316,8 @@ def verify_orthogonality(p: MeixnerParams, max_degree: int, tol) -> RegressionRe
     P_0..P_max_degree are evaluated at every node at once by the
     three-term recurrence P_{k+1} = (x - a) P_k - c_k P_{k-1}, with P_1 = x,
     c_1 = 1 and c_k = 1 + b after that."""
+    from .numerics import gauss_rule  # the float layer loads only for this check
+
     rule = gauss_rule(p, max(11, max_degree + 1))
     nodes, weights = rule.nodes, rule.weights
     a = float(p.a)

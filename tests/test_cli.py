@@ -96,6 +96,14 @@ class TestCumulants:
         assert "order must lie in 2..24" in captured.err
         assert captured.out == ""
 
+    def test_float_methods_print_alike(self, capsys):
+        args = ["cumulants", "--a", "0.5", "--b", "1", "--n", "3", "--format", "csv"]
+        outputs = []
+        for method in ("nc_le2", "semicircle", "from_moments"):
+            assert main(args + ["--method", method]) == 0
+            outputs.append(capsys.readouterr().out.split("n,R_n\n")[1])
+        assert outputs == ["1,0.0\n2,1.0\n3,0.5\n"] * 3
+
     def test_semicircle_method_domain_error(self, capsys):
         code = main(["cumulants", "--a", "0", "--b", "-1/2", "--n", "6",
                      "--method", "semicircle"])

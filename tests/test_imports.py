@@ -1,11 +1,15 @@
-"""freemeixner needs only the standard library.
+"""freemeixner needs only the standard library, and a CLI call loads only
+the layers its subcommand runs.
 
 One fresh interpreter imports the package, runs every CLI subcommand
 in-process (the float-layer ones included) and the float-layer entry
-points, and reports whether numpy or scipy ever loaded.  The installed
-metadata declares no runtime dependency.
+points, and reports whether numpy or scipy ever loaded.  One fresh
+interpreter per subcommand reports which of the lazy layers (``verify``,
+``numerics``, ``ncpart``) and of ``dataclasses``/``inspect`` it loaded.
+The installed metadata declares no runtime dependency.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -76,12 +80,94 @@ PACKAGE_ALL = [
 ]
 
 
-@pytest.fixture(scope="module")
-def fresh():
+# Modules a cold CLI call loads only when its subcommand runs them.
+WATCHED = ["dataclasses", "freemeixner.ncpart", "freemeixner.numerics", "freemeixner.verify",
+           "inspect"]
+
+COLD_CHILD = """
+import contextlib, io, json, sys
+import freemeixner.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = freemeixner.cli.main(json.loads(sys.argv[1]))
+loaded = [m for m in json.loads(sys.argv[2]) if m in sys.modules]
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+
+
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def cold_layers(argv):
+    """The watched modules a fresh interpreter holds after ``argv``."""
+    if argv[0] != "verify":
+        return ["freemeixner.numerics"] if "--eps" in argv else []
+    suite = argv[argv.index("--suite") + 1]
+    if suite in ("orthogonality", "all"):
+        return ["freemeixner.numerics", "freemeixner.verify"]
+    return ["freemeixner.verify"]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(c) for c in COMMANDS])
+def test_cold_command_loads_only_its_layers(argv):
+    proc = subprocess.run([sys.executable, "-c", COLD_CHILD, json.dumps(argv), json.dumps(WATCHED)],
+                          env=child_env(), capture_output=True, text=True, timeout=120,
+                          check=True)
+    result = json.loads(proc.stdout)
+    assert result == {"code": 0, "loaded": cold_layers(argv)}
+
+
+LAZY_CHILD = """
+import json, sys
+import freemeixner as fm
+
+out = {"before": sorted(m for m in sys.modules if m.startswith("freemeixner."))}
+cap = fm.enumerate_nc_le2
+out["bound"] = "enumerate_nc_le2" in vars(fm)
+out["same"] = cap is sys.modules["freemeixner.ncpart"].enumerate_nc_le2
+try:
+    cap(15)
+except fm.EnumerationCapError as exc:
+    out["raised"] = str(exc)
+out["modules"] = [fm.verify.__name__, fm.numerics.__name__]
+print(json.dumps(out))
+"""
+
+
+def test_lazy_names_load_their_layer_and_bind_on_first_lookup():
+    proc = subprocess.run([sys.executable, "-c", LAZY_CHILD], env=child_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    out = json.loads(proc.stdout)
+    assert out["before"] == ["freemeixner.cumulants", "freemeixner.errors",
+                             "freemeixner.meixner", "freemeixner.scalars"]
+    assert out["bound"] and out["same"]
+    assert "15" in out["raised"]
+    assert out["modules"] == ["freemeixner.verify", "freemeixner.numerics"]
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    """The value classes build on ``scalars.Frozen``: importing ``dataclasses``
+    (and the ``inspect`` it pulls in) costs every cold CLI call."""
+    for path in sorted((SRC / "freemeixner").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            tops = {name.split(".")[0] for name in names}
+            assert not tops & {"dataclasses", "inspect"}, f"{path.name}:{node.lineno}"
+
+
+@pytest.fixture(scope="module")
+def fresh():
     proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(COMMANDS)],
-                          env=env, capture_output=True, text=True, timeout=120, check=True)
+                          env=child_env(), capture_output=True, text=True, timeout=120,
+                          check=True)
     return json.loads(proc.stdout)
 
 

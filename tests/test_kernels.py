@@ -320,22 +320,33 @@ class TestFreePair:
 
 
 FRACTION_OPS = ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__rsub__")
+FRACTION_DIVISIONS = ("__truediv__", "__rtruediv__")
 
 
 @pytest.fixture
 def fraction_ops(monkeypatch):
-    """A one-element list counting Fraction additions, multiplications
-    and subtractions from here on."""
-    count = [0]
+    """A two-element list counting from here on: Fraction additions,
+    multiplications and subtractions; and Fraction divisions and
+    constructions, those the operators make internally included."""
+    count = [0, 0]
 
-    def counted(op):
+    def counted(op, slot):
         def wrapper(self, other):
-            count[0] += 1
+            count[slot] += 1
             return op(self, other)
         return wrapper
 
     for name in FRACTION_OPS:
-        monkeypatch.setattr(F, name, counted(getattr(F, name)))
+        monkeypatch.setattr(F, name, counted(getattr(F, name), 0))
+    for name in FRACTION_DIVISIONS:
+        monkeypatch.setattr(F, name, counted(getattr(F, name), 1))
+    new = F.__new__
+
+    def constructed(cls, *args, **kwargs):
+        count[1] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(constructed))
     return count
 
 
@@ -349,29 +360,32 @@ PAIR26 = build_free_pair(F(1, 3), LAW, 26)
 
 # A kernel does at most ``order`` Fraction operations per call.  A verifier
 # at order 24 does at most 3 * 24: reading the pair's marginal cumulants
-# costs one multiplication per value, 26 for X and 27 for Y.
+# costs one multiplication per value, 26 for X and 27 for Y.  Divisions and
+# constructions are bounded by the least multiple of the order at or above
+# the count each one makes, so a Fraction built per step fails it.
 @pytest.mark.parametrize(
-    "kernel, bound",
+    "kernel, bound, made",
     [
-        (lambda: cumulants_to_moments(R32), 32),
-        (lambda: moments_to_cumulants(M32), 32),
-        (lambda: q_cumulants(LAW.a, LAW.b, 0, 32), 32),
-        (lambda: q_cumulants(LAW.a, LAW.b, F(1, 2), 32), 32),
-        (lambda: q_cumulants(LAW.a, LAW.b, F(-1, 3), 32), 32),
-        (lambda: cumulants(LAW, 32, method="semicircle"), 32),
-        (lambda: moments(LAW, 32), 32),
-        (lambda: free_pair_prefix_moments(X17, Y17, "X" + "S" * 16), 17),
-        (lambda: verify_linear_regression(PAIR26, 24), 3 * 24),
-        (lambda: verify_quadratic_variance(PAIR26, 24), 3 * 24),
-        (lambda: verify_mixed_cumulants(PAIR26, 24), 3 * 24),
-        (lambda: verify_moment_recursion(LAW, 24), 3 * 24),
+        (lambda: cumulants_to_moments(R32), 32, 2 * 32),
+        (lambda: moments_to_cumulants(M32), 32, 32),
+        (lambda: q_cumulants(LAW.a, LAW.b, 0, 32), 32, 2 * 32),
+        (lambda: q_cumulants(LAW.a, LAW.b, F(1, 2), 32), 32, 3 * 32),
+        (lambda: q_cumulants(LAW.a, LAW.b, F(-1, 3), 32), 32, 3 * 32),
+        (lambda: cumulants(LAW, 32, method="semicircle"), 32, 32),
+        (lambda: moments(LAW, 32), 32, 2 * 32),
+        (lambda: free_pair_prefix_moments(X17, Y17, "X" + "S" * 16), 17, 17),
+        (lambda: verify_linear_regression(PAIR26, 24), 3 * 24, 4 * 24),
+        (lambda: verify_quadratic_variance(PAIR26, 24), 3 * 24, 4 * 24),
+        (lambda: verify_mixed_cumulants(PAIR26, 24), 3 * 24, 7 * 24),
+        (lambda: verify_moment_recursion(LAW, 24), 3 * 24, 2 * 24),
     ],
     ids=["cumulants_to_moments", "moments_to_cumulants", "q_cumulants",
          "q_cumulants_half", "q_cumulants_minus_third", "semicircle", "moments",
          "free_pair_prefix_moments", "verify_linear_regression",
          "verify_quadratic_variance", "verify_mixed_cumulants", "verify_moment_recursion"],
 )
-def test_fraction_arithmetic_is_bounded_by_order(kernel, bound, fraction_ops):
+def test_fraction_arithmetic_is_bounded_by_order(kernel, bound, made, fraction_ops):
     """The loops run on ints, not on a Fraction per step."""
     kernel()
     assert fraction_ops[0] <= bound
+    assert fraction_ops[1] <= made

@@ -283,6 +283,20 @@ class TestCumulants:
             semi = cumulants(p, 12, method="semicircle")
             assert semi.values == nc.values
 
+    # dyadic floats keep every cumulant exact in binary, so each method has to
+    # give the same bits, not just close values; R_1 is 0 in the type of the rest
+    @pytest.mark.parametrize("a,b", [(F(1, 2), F(3, 2)), (0.5, 1.5), (F(1, 2), 1.5),
+                                     (0.5, F(3, 2)), (-2.0, 0.25), (0.0, 0.0)])
+    def test_methods_agree_in_type_and_bits(self, a, b):
+        def bits(seq):
+            return [(type(v), float.hex(v) if type(v) is float else v) for v in seq.values]
+
+        p = MeixnerParams(a, b)
+        nc, semi, inv = (bits(cumulants(p, 10, method=m))
+                         for m in ("nc_le2", "semicircle", "from_moments"))
+        assert semi == nc == inv
+        assert {t for t, _ in nc} == {F if p.is_exact else float}
+
     def test_semicircle_method_domain(self):
         with pytest.raises(DomainError):
             cumulants(MeixnerParams(0, F(-1, 2)), 6, method="semicircle")
