@@ -146,6 +146,20 @@ def _w_real(a: float, x: float, lo: float, hi: float) -> float:
     return root if x >= a else -root
 
 
+def poles(p: MeixnerParams) -> list[float]:
+    """Real roots of b x^2 + a x + 1, the zeros of the density's denominator;
+    a double root (on the free Gamma parabola a^2 = 4b) is listed twice."""
+    a = float(p.a)
+    b = float(p.b)
+    if b == 0.0:
+        return [] if a == 0.0 else [-1.0 / a]
+    disc = p.a * p.a - 4 * p.b if p.is_exact else a * a - 4.0 * b
+    if disc < 0:
+        return []
+    root = math.sqrt(float(disc))
+    return [(-a - root) / (2.0 * b), (-a + root) / (2.0 * b)]
+
+
 def atoms(p: MeixnerParams) -> list[tuple[float, float]]:
     """Point masses of the law as (location, weight) pairs.
 
@@ -158,20 +172,9 @@ def atoms(p: MeixnerParams) -> list[tuple[float, float]]:
     a = float(p.a)
     b = float(p.b)
     lo, hi = support(p)
-
-    if b == 0.0:
-        roots = [] if a == 0.0 else [-1.0 / a]
-    else:
-        disc = p.a * p.a - 4 * p.b if p.is_exact else a * a - 4.0 * b
-        if disc <= 0:
-            roots = []
-        else:
-            root = math.sqrt(float(disc))
-            roots = [(-a - root) / (2.0 * b), (-a + root) / (2.0 * b)]
-
     found = []
     scale = 1.0 + abs(a) + abs(b)
-    for x0 in roots:
+    for x0 in poles(p):
         if lo < x0 < hi:
             continue
         qp = 2.0 * b * x0 + a

@@ -7,6 +7,7 @@ criteria pin the stated tolerances.
 
 import cmath
 import time
+from math import comb
 from fractions import Fraction as F
 
 from conftest import GRID_POINTS, catalan
@@ -196,6 +197,12 @@ def test_c09_atom_recovery():
         MeixnerLaw.from_params(MeixnerParams(0, F(-1, 2))), lambda x: 1.0
     ).value
     ok = ok and abs(mass - 1) < 1e-9
+    # the arcsine law's poles are its support edges, so f = 1 checks only
+    # the mass identity there: its even moments are the central binomials / 2^k
+    arcsine = MeixnerLaw.from_params(MeixnerParams(0, F(-1, 2)))
+    for k in (2, 4, 6):
+        even = integrate_against_law(arcsine, lambda x: x ** k).value
+        ok = ok and abs(even - comb(k, k // 2) / 2 ** (k // 2)) < 1e-10 * even
     record(9, "atom-recovery", ok)
 
 

@@ -540,6 +540,17 @@ class TestLawObject:
         total = integrate_against_law(lw, lambda x: 1.0)
         assert abs(total.value - 1) < 1e-9
 
+    @pytest.mark.parametrize("a,b", GRID_POINTS)
+    def test_monomials(self, a, b):
+        # test_normalization checks only the mass identity on laws whose
+        # density has a pole at or just off an edge, such as (0, -1/2)
+        lw = law(a, b)
+        ms = moments(MeixnerParams(a, b), 8)
+        for k in range(9):
+            expect = float(ms.moment(k))
+            got = integrate_against_law(lw, lambda x: x ** k).value
+            assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
+
     def test_atoms_outside_open_support(self):
         for a, b in GRID_POINTS:
             lw = law(a, b)

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from conftest import GRID_POINTS
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import freemeixner.numerics as numerics_module
@@ -36,6 +38,38 @@ RULE_SIZES = (1, 2, 9, 17, 32, 64)
 
 def law(a, b):
     return MeixnerLaw.from_params(MeixnerParams(a, b))
+
+
+def assert_moments(a, b, top):
+    """integrate_against_law of x^k matches the exact moment for k <= top."""
+    ms = moments(MeixnerParams(F(a), F(b)), top)
+    lw = law(a, b)
+    for k in range(top + 1):
+        expect = float(ms.moment(k))
+        got = integrate_against_law(lw, lambda x: x ** k).value
+        assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect)), (a, b, k, got, expect)
+
+
+def pole_outside(b, gap, side, mirror):
+    """(a, b) with a root of b x^2 + a x + 1 gap support widths below the
+    support (above it if mirror); side picks one of the two such a.
+
+    The root is x0 = a - s with s = 2 sqrt(1+b) + gap * 4 sqrt(1+b); putting
+    it into b x^2 + a x + 1 = 0 leaves (1+b) a^2 - s (2b+1) a + b s^2 + 1 = 0,
+    whose discriminant is s^2 - 4(1+b) > 0.
+    """
+    s = 2 * math.sqrt(1 + b) * (1 + 2 * gap)
+    a = (s * (2 * b + 1) + side * math.sqrt(s * s - 4 * (1 + b))) / (2 * (1 + b))
+    return (-a if mirror else a), b
+
+
+@st.composite
+def near_pole_laws(draw):
+    """Free Poisson (both sides of |a| = 1), free Pascal and free binomial
+    laws whose real pole lies 1e-6 to 1e-1 support widths off the support."""
+    b = draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0), st.floats(-0.9, -0.05)))
+    return pole_outside(b, 10 ** draw(st.floats(-6, -1)), draw(st.sampled_from((-1, 1))),
+                       draw(st.booleans()))
 
 
 class TestQuadratureRule:
@@ -143,6 +177,12 @@ class TestPanelIntegration:
         est = integrate_against_law(law(a, b), lambda x: 1.0)
         assert abs(est.value - 1) < 1e-9
 
+    @pytest.mark.parametrize("a,b", [(F(1), F(1)), (F(2), F(0)), (F(0), F(-1, 2))])
+    def test_monomials(self, a, b):
+        # the poles of (0, -1/2) are its support edges; there f = 1 minus
+        # f(pole) is 0, so test_normalization checks only the mass identity
+        assert_moments(a, b, 8)
+
     def test_variance_semicircle(self):
         est = integrate_against_law(law(0, 0), lambda x: x * x)
         assert abs(est.value - 1) < 1e-10
@@ -171,6 +211,41 @@ class TestPanelIntegration:
         with pytest.raises(ValueError):
             integrate_against_law(law(0, 0), lambda x: 1.0, panels=0)
 
+    @pytest.mark.parametrize("panels", [0, -3])
+    def test_fixed_panel_count_validation(self, panels):
+        with pytest.raises(ValueError):
+            panel_integral(law(2, 0), lambda x: 1.0, panels)
+
+    @given(near_pole_laws())
+    def test_near_pole_laws_match_exact_moments(self, ab):
+        assert_moments(*ab, 12)
+
+    @pytest.mark.parametrize("a,b", [(0.01, 0.0), (0.1, 0.0), (0.3, 0.001)])
+    def test_far_pole_is_not_subtracted(self, a, b):
+        # f at a root several support widths away dwarfs f on the support;
+        # subtracting it there loses x^6 and x^12 to cancellation
+        assert_moments(a, b, 12)
+
+    @pytest.mark.parametrize("a", [1.02, -1.02, 0.999])
+    def test_near_pole_costs_two_passes(self, a):
+        lw = law(a, 0.0)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x ** 3
+
+        integrate_against_law(lw, f)
+        passes = len(numerics_module._GL_NODES) * (8 + 16)
+        assert len(calls) <= passes + 1 + len(lw.atoms)
+
+    @pytest.mark.parametrize("a,b,k", [(2.70, 1.62, 12), (7.43, 13.8, 8), (1.0001, 0.0, 12)])
+    def test_large_integrals_converge(self, a, b, k):
+        # an absolute 1e-10 target is out of reach when the moment is 1e6
+        expect = float(moments(MeixnerParams(F(a), F(b)), k).moment(k))
+        got = integrate_against_law(law(a, b), lambda x: x ** k).value
+        assert abs(got - expect) <= 1e-10 * abs(expect)
+
     def test_nonconvergence_reports_best_estimate(self, monkeypatch):
         monkeypatch.setattr(numerics_module, "_MAX_PANELS", 8)
         rough = lambda x: math.sin(1.0 / (abs(x) + 1e-4))
@@ -198,3 +273,7 @@ class TestStieltjesInversion:
     def test_eps_domain(self):
         with pytest.raises(DomainError):
             stieltjes_invert(MeixnerParams(0, 0), 0.0, 0.0)
+
+    def test_eps_nan_refused(self):
+        with pytest.raises(DomainError):
+            stieltjes_invert(MeixnerParams(0, 0), 0.0, float("nan"))
