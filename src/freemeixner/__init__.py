@@ -13,6 +13,11 @@ The partition enumerators (``ncpart``), the float layer (``numerics``) and
 the identity verifiers (``verify``) load on first use: their names below
 are served by the module ``__getattr__`` (PEP 562), so a CLI call imports
 only the layers its subcommand runs.
+
+The name ``cumulants`` is the function re-exported from ``meixner``, and it
+shadows the module of that name: ``import freemeixner.cumulants as C``
+binds the function.  Reach the module's names with
+``from freemeixner.cumulants import ...``.
 """
 
 from .cumulants import (

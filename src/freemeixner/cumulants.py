@@ -24,7 +24,7 @@ recursion at every rational q) run on ints by weight, as
 from __future__ import annotations
 
 from .errors import DomainError, OrderCapError
-from .scalars import Frozen, Scalar, as_scalar, from_weighted, is_exact, to_weighted
+from .scalars import Frozen, Scalar, as_scalar, from_weighted, is_exact, parts, to_weighted
 
 # Largest order the O(N^3) transforms, the q-cumulant recursion and the
 # O(N^4) free-pair interval recursion accept; each checks it before any work.
@@ -389,7 +389,7 @@ def q_cumulants(a, b, q, order: int) -> CumulantSequence:
     _check_order(order)
     one, scale, ((a, b),) = to_weighted((a, b), also=(q,))
     # q = u/v when the loop runs on ints; an unscaled loop takes q whole
-    u, v = (q, 1) if type(one) is float else (q.numerator, q.denominator)
+    u, v = parts(q, one)
     # at q = 0 every Gaussian binomial is 1
     binom = _q_pascal(order - 2, u, v) if u else [[1] * order] * order
     r = [one - one, one]

@@ -36,7 +36,8 @@ from .cumulants import (
     q_cumulants,
 )
 from .errors import DomainError
-from .scalars import Frozen, Scalar, as_scalar, exact_sqrt, from_weighted, is_exact, to_weighted
+from .scalars import (Frozen, Scalar, as_scalar, exact_sqrt, from_weighted, is_exact, parts,
+                      to_weighted)
 
 _ATOM_WEIGHT_FLOOR = 1e-12
 # Relative rounding allowance for the terms of an atom's residue numerator.
@@ -278,6 +279,15 @@ def r_transform(p: MeixnerParams, z: complex) -> complex:
     return 2.0 * z / denom
 
 
+def _bracket(a, b, scale, one):
+    """(E, E L^2, a E L, b E) for E = lcm(den a, den b): times E L^(k+2),
+    m_k + a m_{k+1} + b m_{k+2} is E L^2 M_k + a E L M_{k+1} + b E M_{k+2}
+    in the moments M_k = L^k m_k.  For floats E = 1 and L = 1."""
+    (an, ad), (bn, bd) = parts(a, one), parts(b, one)
+    e = math.lcm(ad, bd)
+    return e, e * scale * scale, an * (e // ad) * scale, bn * (e // bd)
+
+
 def moments(p: MeixnerParams, order: int) -> MomentSequence:
     """Raw moments (m_0, ..., m_order); exact for rational parameters.
 
@@ -290,54 +300,28 @@ def moments(p: MeixnerParams, order: int) -> MomentSequence:
     recursion; at b = -1 the law is two atoms on the roots of
     x^2 - a x - 1, so m_{n+2} = a m_{n+1} + m_n instead.
 
-    For rational (a, b) it runs in ints on M_n = L^n m_n, with L such that
-    a L and b L^2 are integers.  Times L^(n+2) the recursion reads
-
-        M_{n+2} = L^2 M_n + aL M_{n+1}
-                  + sum_j M_j (L^2 M_{n-j} + aL M_{n+1-j}) + b sum_j M_j M_{n+2-j},
-
-    so the b-sum is kept on its own and multiplied by b through one
-    division by den(b) per order.  That division is exact: m_k L^(k-2) is
-    an integer for k >= 2 (by induction: times L^n, every term of the
-    recursion for m_{n+2} is an integer), so M_k is L^2 times an integer,
-    M_1 = 0, and every product in the b-sum is a multiple of L^4, which
-    den(b) divides.
+    It runs on M_n = L^n m_n, in ints for rational (a, b), with the
+    coefficients of :func:`_bracket`: times E L^(n+2) the recursion gives
+    E M_{n+2} from head[k] = E L^2 M_k + a E L M_{k+1} and b E.  The
+    division by E is exact: by induction, times L^n every term of the
+    recursion for m_{n+2} is an integer, so M_{n+2} is one.  For floats
+    E = L = 1.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    a, b = p.a, p.b
-    if p.is_exact:
-        return MomentSequence(_exact_moments(a, b, order))
-    m: list[Scalar] = [1.0, 0.0]
-    if b == -1:
-        while len(m) < order + 1:
-            m.append(a * m[-1] + m[-2])
-    else:
-        for n in range(order - 1):
-            nxt = m[n] + a * m[n + 1]
+    one, scale, _ = to_weighted((p.a, p.b))
+    e, el2, ea, eb = _bracket(p.a, p.b, scale, one)
+    two_atoms = p.b == -1
+    m = [one, one - one]
+    head = [el2 * m[0] + ea * m[1]]
+    for n in range(order - 1):
+        nxt = head[n]
+        if not two_atoms:
             for j in range(1, n + 1):
-                nxt += m[j] * (m[n - j] + a * m[n + 1 - j] + b * m[n + 2 - j])
-            m.append(nxt)
-    return MomentSequence(tuple(m[: order + 1]))
-
-
-def _exact_moments(a, b, order: int) -> list:
-    """:func:`moments` for rational (a, b), on the ints M_n = L^n m_n."""
-    _, scale, ((a_l, _),) = to_weighted((a, b))
-    l2 = scale * scale
-    m = [1, 0]
-    if b == -1:
-        while len(m) < order + 1:
-            m.append(a_l * m[-1] + l2 * m[-2])
-    else:
-        for n in range(order - 1):
-            nxt = l2 * m[n] + a_l * m[n + 1]
-            b_sum = 0
-            for j in range(1, n + 1):
-                nxt += m[j] * (l2 * m[n - j] + a_l * m[n + 1 - j])
-                b_sum += m[j] * m[n + 2 - j]
-            m.append(nxt + b.numerator * (b_sum // b.denominator))
-    return from_weighted(m[: order + 1], scale, 0)
+                nxt += m[j] * (head[n - j] + eb * m[n + 2 - j])
+        m.append(nxt if e == 1 else nxt // e)
+        head.append(el2 * m[n + 1] + ea * m[n + 2])
+    return MomentSequence(tuple(from_weighted(m[: order + 1], scale, 0)))
 
 
 def semicircle_moments(w: SemicircleParams, order: int) -> MomentSequence:
@@ -466,7 +450,7 @@ def binomial_decomposition(p: MeixnerParams):
         raise DomainError(f"binomial decomposition needs -1 <= b < 0, got b={b}")
     lam = exact_sqrt(-b)
     two_point = MeixnerParams(a / lam, -1)
-    t = -1 / b if is_exact(b) else -1.0 / b
+    t = -1 / b
     return two_point, t, lam
 
 

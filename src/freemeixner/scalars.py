@@ -12,7 +12,9 @@ integer for every rational input v_k of weight k (:func:`weight_denominator`),
 scales its inputs to those integers (:func:`to_weighted`), runs its loop in
 Python ints, and divides each output by its power of L, and by any
 denominator the loop cleared on top of that, once (:func:`from_weighted`).
-Float inputs run the same loops unscaled, with L = 1.
+Float inputs run the same loops unscaled, with L = 1.  A loop that needs a
+rational coefficient as numerator and denominator takes it from
+:func:`parts`.
 
 The package's values (law parameters, moment and cumulant sequences,
 reports) are immutable and compare by their fields: see :class:`Frozen`.
@@ -138,6 +140,12 @@ def to_weighted(*sequences, also=()):
             weighted.append(v.numerator * (power // v.denominator))
         lists.append(weighted)
     return 1, scale, lists
+
+
+def parts(x, one) -> tuple:
+    """(numerator, denominator) of x on the context whose ``one`` came from
+    :func:`to_weighted`: ints when it is 1, and (x, 1) when it is 1.0."""
+    return (x, 1) if type(one) is float else (x.numerator, x.denominator)
 
 
 def from_weighted(values, scale: int, weight: int, den: int = 1) -> list:

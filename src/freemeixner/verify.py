@@ -10,8 +10,10 @@ Meixner law and the pair satisfies, at every moment order,
 with V = beta X - alpha Y, beta = 1 - alpha, C = alpha beta / (1+b), and
 the mixed cumulants obey R_n(V, S, ..., S) = 0 and
 R_n(V, V, S, ..., S) = alpha beta R_n(S).  The verifiers below evaluate
-both sides of each identity and report residuals per order; the interval
-recursion ``free_pair_prefix_moments`` gives the left sides independently.
+both sides of each identity and report residuals per order.  The left
+sides are sums over the power table of S, as set out next; the interval
+recursion ``free_pair_prefix_moments`` is the tests' independent engine
+for them.
 
 Each pair check reads the marginal cumulants through
 ``pair.x_cumulants()`` and ``pair.y_cumulants()`` once and puts them on
@@ -34,17 +36,17 @@ floats, against a Gauss rule, with a caller-given tolerance.
 
 from __future__ import annotations
 
-import math
-
 from .cumulants import (
     CumulantSequence,
     FreePairSpec,
     _check_order,
     _transform_loop,
+    convolution_power,
 )
 from .errors import DomainError, OrderCapError
-from .meixner import LevyParams, MeixnerParams, cumulants
-from .scalars import Frozen, Scalar, as_scalar, exact_sqrt, from_weighted, is_exact, to_weighted
+from .meixner import LevyParams, MeixnerParams, _bracket, cumulants
+from .scalars import (Frozen, Scalar, as_scalar, exact_sqrt, from_weighted, is_exact, parts,
+                      to_weighted)
 
 FLOAT_TOLERANCE = 1e-10
 
@@ -131,20 +133,6 @@ def build_free_pair(alpha, p: MeixnerParams, order: int) -> FreePairSpec:
     return FreePairSpec(cumulants(p, order), alpha)
 
 
-def _parts(x, unit):
-    """Numerator and denominator of x on an exact context; (x, 1) when ``unit`` is 1.0."""
-    return (x, 1) if type(unit) is float else (x.numerator, x.denominator)
-
-
-def _bracket(a, b, scale, unit):
-    """(E, E L^2, a E L, b E) for E = lcm(den a, den b): times E L^(k+2),
-    m_k + a m_{k+1} + b m_{k+2} is E L^2 M_k + a E L M_{k+1} + b E M_{k+2}
-    in the moments M_k = L^k m_k.  For floats E = 1 and L = 1."""
-    (an, ad), (bn, bd) = _parts(a, unit), _parts(b, unit)
-    e = math.lcm(ad, bd)
-    return e, e * scale * scale, an * (e // ad) * scale, bn * (e // bd)
-
-
 def _pair_context(pair: FreePairSpec, order: int, *coefficients):
     """The pair's cumulants up to ``order`` as block weights on one
     denominator L by weight.
@@ -162,7 +150,7 @@ def _pair_context(pair: FreePairSpec, order: int, *coefficients):
     unit, scale, (xs, ys) = to_weighted(
         pair.x_cumulants().values[:order], pair.y_cumulants().values[:order],
         also=(pair.alpha, *coefficients))
-    p, q = _parts(pair.alpha, unit)
+    p, q = parts(pair.alpha, unit)
     cx, cy = q - p, -p
     return (unit, scale, p, q, [u + v for u, v in zip(xs, ys)],
             [cx * u + cy * v for u, v in zip(xs, ys)],
@@ -229,7 +217,7 @@ def verify_quadratic_variance(pair: FreePairSpec, order: int) -> RegressionRepor
     # lhs[n] = q^2 L^(n+2) tau(V V S^n)
     lhs = _variance_lhs(one, two, power, order)
     e, el2, ea, eb = _bracket(a, b, scale, unit)
-    cn, cd = _parts(c, unit)
+    cn, cd = parts(c, unit)
     left, right = cd * e, q * q * cn
     orders = range(0, order + 1)
     # each residual times q^2 cd E L^(n+2)
@@ -303,7 +291,7 @@ def verify_levy_martingale(l: LevyParams, s, u, order: int) -> RegressionReport:
     if not 0 < s < u:
         raise DomainError(f"need 0 < s < u, got s={s}, u={u}")
     base = cumulants(MeixnerParams(l.eta, l.sigma), order + 1)
-    pair = FreePairSpec(CumulantSequence([u * r for r in base.values]), alpha=s / u)
+    pair = FreePairSpec(convolution_power(base, u, formal=True), alpha=s / u)
     rep = verify_linear_regression(pair, order)
     return RegressionReport("levy-martingale", rep.orders, rep.residuals, rep.passed, rep.constant)
 

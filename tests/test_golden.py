@@ -1,10 +1,12 @@
-"""Golden output for every CLI example in the README.
+"""Golden output for every CLI example in the README, and for its Quick start.
 
 Each ``freemeixner ...`` line of the README's "Command line" block runs
 in-process through ``main(argv)``; its stdout must match the fixture under
 ``tests/golden/`` byte for byte.  ``HIGH_ORDER_EXAMPLES`` pins runs at
-the top of the CLI's order range the same way.  Regenerate the fixtures
-(only when an output change is intended) with ``python tests/test_golden.py``.
+the top of the CLI's order range the same way, and the README's "Quick
+start" Python block runs whole against ``readme_quickstart.out``.
+Regenerate the fixtures (only when an output change is intended) with
+``python tests/test_golden.py``.
 """
 
 import contextlib
@@ -39,6 +41,19 @@ def readme_examples():
     return examples
 
 
+def readme_quickstart_output():
+    """Stdout of the README's "Quick start" Python block, run whole."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(compile(block, "README.md Quick start", "exec"), {"__name__": "readme_quickstart"})
+    return buf.getvalue()
+
+
+QUICKSTART = GOLDEN / "readme_quickstart.out"
+
+
 def fixture_path(argv):
     return GOLDEN / (re.sub(r"[^A-Za-z0-9]+", "_", " ".join(argv)).strip("_") + ".out")
 
@@ -68,6 +83,10 @@ def test_high_order_example_matches_golden(argv, capsys):
     assert_matches_golden(argv, capsys)
 
 
+def test_readme_quickstart_matches_golden():
+    assert readme_quickstart_output() == QUICKSTART.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
     from freemeixner.cli import main
@@ -81,3 +100,5 @@ if __name__ == "__main__":
             raise SystemExit(f"{' '.join(argv)} exited {code}")
         fixture_path(argv).write_text(buf.getvalue(), encoding="utf-8")
         print(f"wrote {fixture_path(argv).relative_to(ROOT)}")
+    QUICKSTART.write_text(readme_quickstart_output(), encoding="utf-8")
+    print(f"wrote {QUICKSTART.relative_to(ROOT)}")

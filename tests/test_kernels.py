@@ -145,9 +145,11 @@ class TestWeightedFormat:
     def test_only_scalars_names_the_format(self):
         """Every exact kernel and verifier scales through ``to_weighted`` and
         ``from_weighted``: no other module names ``weight_denominator`` or
-        ``scaled``, or branches on a bare ``exact`` flag, and none but the
-        CLI, which parses and prints them, imports ``Fraction``."""
+        ``scaled``, or branches on a bare ``exact`` flag, none but the CLI,
+        which parses and prints them, imports ``Fraction``, and none reads a
+        ``numerator`` or ``denominator``: ``scalars.parts`` splits a scalar."""
         forbidden = {"weight_denominator", "scaled"}
+        splits = []
         for path in sorted(Path(freemeixner.__file__).parent.glob("*.py")):
             if path.name == "scalars.py":
                 continue
@@ -161,6 +163,9 @@ class TestWeightedFormat:
                 if isinstance(node, (ast.If, ast.IfExp)):
                     test = node.test
                     assert not (isinstance(test, ast.Name) and test.id == "exact"), where
+                if isinstance(node, ast.Attribute) and node.attr in {"numerator", "denominator"}:
+                    splits.append(where)
+        assert not splits, f"numerator/denominator read outside scalars.py at {sorted(set(splits))}"
 
 
 class TestWeightDenominator:
@@ -198,9 +203,14 @@ class TestMoments:
         assert_exact_equal(moments(p, order).values, fraction_moments(p, order))
 
     @pytest.mark.parametrize("rule", B_RULES.values(), ids=B_RULES.keys())
-    @given(FLOATS, FLOATS, st.integers(2, 40))
-    def test_float_bits(self, rule, a, v, order):
-        p = MeixnerParams(a, rule(a, v))
+    @given(st.one_of(st.tuples(FLOATS, FLOATS), st.tuples(RATIONALS, FLOATS),
+                     st.tuples(FLOATS, RATIONALS)), st.integers(2, 40))
+    def test_float_bits(self, rule, av, order):
+        """Float laws, and a Fraction a with a float b or the reverse: b takes
+        the type of the draw v, so the edge b = -1 is -1.0 beside a Fraction a."""
+        a, v = av
+        p = MeixnerParams(a, type(v)(rule(a, v)))
+        assert not p.is_exact
         assert_same_bits(moments(p, order).values, fraction_moments(p, order))
 
 
