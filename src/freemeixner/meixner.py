@@ -14,12 +14,16 @@ with p_0 = 1, p_1 = x, p_2 = x^2 - a x - 1.  The absolutely continuous part
 is sqrt(4(1+b) - (x-a)^2) / (2 pi (b x^2 + a x + 1)) on the interval
 [a - 2 sqrt(1+b), a + 2 sqrt(1+b)]; up to two atoms sit at real roots of
 b x^2 + a x + 1 outside that interval, weighted by the residue of G there.
+Which roots carry an atom follows from the signs of 1 + 2b and of
+(1+2b)^2 - (1+b) a^2 alone (see :func:`atoms`).
 
 The family splits into six types (semicircle, free Poisson, free Pascal,
 free Gamma, pure free Meixner, free binomial) according to the sign of b
 and of a^2 - 4b, and is closed under dilation, translation, and free
 convolution powers.  Moment and cumulant computations below are exact for
-rational (a, b); the analytic layer works in double precision.
+rational (a, b), and so is the decision which roots are atoms.  The
+analytic layer works in double precision, in forms where no term cancels:
+the roots as 1/q and q/b (:func:`poles`), and G as 1/(z - 2/(z - a + w)).
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import sys
 
 from .cumulants import (
     CumulantSequence,
@@ -38,10 +41,6 @@ from .cumulants import (
 from .errors import DomainError
 from .scalars import (Frozen, Scalar, as_scalar, exact_sqrt, from_weighted, is_exact, parts,
                       to_weighted)
-
-_ATOM_WEIGHT_FLOOR = 1e-12
-# Relative rounding allowance for the terms of an atom's residue numerator.
-_ATOM_ROUNDING = 16 * sys.float_info.epsilon
 
 
 class MeixnerParams(Frozen):
@@ -135,65 +134,63 @@ def density(p: MeixnerParams, x: float) -> float:
     return math.sqrt(max(rad, 0.0)) / (2.0 * math.pi * q)
 
 
-def _w_real(a: float, x: float, lo: float, hi: float) -> float:
-    """sqrt((x-a)^2 - 4(1+b)) on the real axis outside the support, signed
-    like (x-a) so the branch matches the large-|z| normalization.
-
-    Factored as (x-lo)(x-hi) so that roots sitting on a support endpoint
-    give an exact zero instead of sqrt-amplified rounding noise.
-    """
-    rad = (x - lo) * (x - hi)
-    root = math.sqrt(max(rad, 0.0))
-    return root if x >= a else -root
-
-
 def poles(p: MeixnerParams) -> list[float]:
     """Real roots of b x^2 + a x + 1, the zeros of the density's denominator;
-    a double root (on the free Gamma parabola a^2 = 4b) is listed twice."""
+    a double root (on the free Gamma parabola a^2 = 4b) is listed twice.
+
+    With d = a^2 - 4b and q = -(a + sign(a) sqrt(d))/2 the roots are 1/q,
+    which is -1/a at b = 0, and q/b; neither is a difference of near-equal
+    terms.  At b = 0 the one root is -1/a.
+    """
     a = float(p.a)
     b = float(p.b)
     if b == 0.0:
         return [] if a == 0.0 else [-1.0 / a]
-    disc = p.a * p.a - 4 * p.b if p.is_exact else a * a - 4.0 * b
-    if disc < 0:
+    d = p.a * p.a - 4 * p.b
+    if d < 0:
         return []
-    root = math.sqrt(float(disc))
-    return [(-a - root) / (2.0 * b), (-a + root) / (2.0 * b)]
+    q = -0.5 * (a + math.copysign(math.sqrt(float(d)), a))
+    return [1.0 / q, q / b]
 
 
 def atoms(p: MeixnerParams) -> list[tuple[float, float]]:
-    """Point masses of the law as (location, weight) pairs.
+    """Point masses of the law as (location, weight) pairs, by location.
 
-    Candidates are the real roots of b x^2 + a x + 1 outside the open
-    support; the weight is the residue of the Cauchy transform there and
-    candidates with weight <= 1e-12, or within the residue's rounding
-    error of zero, are dropped.  A double root (on the free Gamma parabola
-    a^2 = 4b) always carries residue zero.
+    At a root x0 = (-a + s sqrt(d))/(2b) of b x^2 + a x + 1 (s = +-1,
+    d = a^2 - 4b), ((1+2b) x0 + a)^2 = (x0-a)^2 - 4(1+b), so the square
+    root in the residue of the Cauchy transform is +-((1+2b) x0 + a),
+    signed like x0 - a.  The residue is zero unless (1+2b) x0 + a and
+    x0 - a have opposite signs, and then it is ((1+2b) x0 + a)/(2b x0 + a).
+    Worked out, those signs depend only on the signs of 1 + 2b and of
+    E = 1 - (1+b) d = (1+2b)^2 - (1+b) a^2, which vanishes where an atom
+    meets a support edge:
+
+    - the root 1/q of :func:`poles` (s = sign a) is an atom iff E < 0 or
+      b < -1/2;
+    - the root q/b (s = -sign a) is an atom iff b < -1/2 and E > 0.
+
+    E is computed in the parameters' own type, so the decision is exact for
+    rational (a, b).  With K = |a| + |1+2b| sqrt(d) the weights are
+    2|E|/(sqrt(d) K), or K/(2|b| sqrt(d)) for 1/q when b <= -1/2; E enters
+    as E/d = 1/d - (1+b), so no term cancels or grows beyond a^2 - 4b.  A
+    double root (d = 0, E = 1) is never an atom, and an atom always lies
+    outside the open support.
     """
-    a = float(p.a)
-    b = float(p.b)
-    lo, hi = support(p)
+    a, b = p.a, p.b
+    c, d = 1 + 2 * b, a * a - 4 * b
+    if d <= 0:
+        return []
+    e = 1 / d - (1 + b)  # E / d, with the sign of E
+    x = poles(p)
     found = []
-    scale = 1.0 + abs(a) + abs(b)
-    for x0 in poles(p):
-        if lo < x0 < hi:
-            continue
-        qp = 2.0 * b * x0 + a
-        if abs(qp) <= 1e-9 * scale:
-            # effectively a double root; residue vanishes identically
-            continue
-        w0 = _w_real(a, x0, lo, hi)
-        lin = (1.0 + 2.0 * b) * x0 + a
-        numer = lin - w0
-        weight = numer / (2.0 * qp)
-        # When the roots nearly coincide, numer cancels between near-equal
-        # terms and the small 2 q'(x0) amplifies its rounding error; a
-        # weight inside that error is noise, not an atom.
-        noise = _ATOM_ROUNDING * (abs(lin) + abs(a) + abs(w0)) / abs(2.0 * qp)
-        if weight > max(_ATOM_WEIGHT_FLOOR, noise):
-            found.append((x0, weight))
-    found.sort(key=lambda t: t[0])
-    return found
+    if e < 0 or c < 0:
+        r = math.sqrt(float(d))
+        k = abs(float(a)) + abs(float(c)) * r
+        w = -2.0 * float(e) * r / k if c > 0 else k / (2.0 * abs(float(b)) * r)
+        found.append((x[0], w))
+        if c < 0 < e:
+            found.append((x[1], 2.0 * float(e) * r / k))
+    return sorted(found)
 
 
 class MeixnerLaw(Frozen):
@@ -220,9 +217,12 @@ class MeixnerLaw(Frozen):
 def cauchy_transform(p: MeixnerParams, z: complex) -> complex:
     """G(z) = integral of 1/(z - y) against the law.
 
-    The square root carries the branch with sqrt((z-a)^2 - 4(1+b)) ~ (z-a)
-    at infinity, so G(z) ~ 1/z and Im G <= 0 on the upper half plane.
-    Real z must avoid the support and the atoms.
+    With w = sqrt((z-a)^2 - 4(1+b)) on the branch with w ~ (z-a) at
+    infinity, G(z) ~ 1/z and Im G <= 0 on the upper half plane.  Since
+    (z - a + w)(z - a - w) = 4(1+b), G = 1/(z - 2/(z - a + w)) for every
+    b >= -1: no term is O(1+b), and at b = -1, where w = z - a, this is
+    the two-atom transform (z-a)/(z^2 - a z - 1).  Real z must avoid the
+    support and the atoms, where z - 2/(z - a + w) vanishes.
     """
     a = float(p.a)
     b = float(p.b)
@@ -235,20 +235,13 @@ def cauchy_transform(p: MeixnerParams, z: complex) -> complex:
                 f"Cauchy transform undefined on the support [{lo:g}, {hi:g}] (x={x:g})"
             )
     half = 2.0 * math.sqrt(1.0 + b)
-    w = cmath.sqrt(z - a - half) * cmath.sqrt(z - a + half)
-    if b == -1.0:
-        denom = z * z - a * z - 1.0
-    else:
-        denom = (1.0 + 2.0 * b) * z + a + w
+    u = z - a + cmath.sqrt(z - a - half) * cmath.sqrt(z - a + half)
+    if u == 0:  # only at z = a when b = -1, since u (z - a - w) = 4(1+b); G(a) = 0 there
+        return 0j
+    denom = z - 2.0 / u
     if z.imag == 0.0 and abs(denom) <= 1e-12 * (1.0 + abs(z.real)):
         raise DomainError(f"Cauchy transform has a pole (atom) at z={z.real:g}")
-    if b == -1.0:
-        return (z - a) / denom
-    # Rationalized form of the textbook expression: multiplying numerator
-    # and denominator by (1+2b) z + a + w cancels b z^2 + a z + 1 exactly,
-    # which keeps the evaluation stable near non-atomic roots of that
-    # quadratic.
-    return 2.0 * (1.0 + b) / denom
+    return 1.0 / denom
 
 
 def series_radius(p: MeixnerParams) -> float:

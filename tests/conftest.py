@@ -4,6 +4,8 @@ they check."""
 import math
 from fractions import Fraction
 
+import mpmath
+import sympy
 from hypothesis import settings
 
 from freemeixner import (
@@ -361,3 +363,80 @@ def fraction_moment_recursion(p, order):
             )
         residuals.append((1 + b) * m.moment(target) - rhs)
     return residuals
+
+
+def _mp(x):
+    """The rational x (a float or a Fraction) as an mpmath number at the
+    working precision."""
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def mp_poles(a, b):
+    """Reference for ``meixner.poles`` at 120 digits, ascending: the textbook
+    roots (-a -+ sqrt(a^2 - 4b)) / (2b), or -1/a at b = 0."""
+    with mpmath.workdps(120):
+        a, b = _mp(a), _mp(b)
+        if b == 0:
+            return [] if a == 0 else [-1 / a]
+        d = a * a - 4 * b
+        if d < 0:
+            return []
+        return sorted((-a + s * mpmath.sqrt(d)) / (2 * b) for s in (-1, 1))
+
+
+def mp_cauchy(a, b, z, digits=50):
+    """Reference for ``meixner.cauchy_transform``: the textbook
+    G(z) = ((1+2b) z + a - w) / (2 (b z^2 + a z + 1)) at the given number
+    of digits, with w = sqrt((z-a)^2 - 4(1+b)) on the branch w ~ z - a at
+    infinity."""
+    with mpmath.workdps(digits):
+        a, b, z = _mp(a), _mp(b), mpmath.mpc(z)
+        half = 2 * mpmath.sqrt(1 + b)
+        w = mpmath.sqrt(z - a - half) * mpmath.sqrt(z - a + half)
+        return ((1 + 2 * b) * z + a - w) / (2 * (b * z * z + a * z + 1))
+
+
+def mp_atoms(a, b):
+    """Reference for ``meixner.atoms``: (x0, w) for each root x0 of
+    b x^2 + a x + 1 whose mass w = -eps Im G(x0 + i eps), at eps = 1e-60
+    and 120 digits, exceeds 1e-25.
+
+    This Stieltjes limit does not use the residue formula.  Off the support
+    the continuous part adds O(eps^2) to w; a root on a support edge, where
+    the density has a 1/sqrt singularity, gets O(sqrt(eps)) = 1e-30.
+    """
+    found = []
+    with mpmath.workdps(120):
+        eps = mpmath.mpf(10) ** -60
+        for x0 in sorted(set(mp_poles(a, b))):
+            w = -eps * mp_cauchy(a, b, mpmath.mpc(x0, eps), digits=120).imag
+            if w > mpmath.mpf(10) ** -25:
+                found.append((x0, w))
+    return found
+
+
+def exact_atom_locations(a, b):
+    """Reference for which roots of b x^2 + a x + 1 ``meixner.atoms`` lists,
+    for rational (a, b), ascending.
+
+    A root x0 is an atom when the residue numerator (1+2b) x0 + a - w(x0)
+    of the Cauchy transform is not zero, with w the branch of
+    sqrt((x-a)^2 - 4(1+b)) signed like x - a.  sympy decides that exactly
+    in Q(sqrt(a^2 - 4b)), after denesting the square root of w^2.
+    """
+    a, b = sympy.Rational(a), sympy.Rational(b)
+    if b == 0:
+        roots = {-1 / a} if a else set()
+    else:
+        d = a * a - 4 * b
+        roots = set() if d < 0 else {(-a + s * sympy.sqrt(d)) / (2 * b) for s in (-1, 1)}
+    found = []
+    for x0 in roots:
+        w = sympy.sign(x0 - a) * sympy.sqrtdenest(
+            sympy.sqrt(sympy.expand((x0 - a) ** 2 - 4 * (1 + b))))
+        zero = sympy.expand((1 + 2 * b) * x0 + a - w).is_zero
+        assert zero is not None, f"sympy left the residue at {x0} undecided"
+        if not zero:
+            found.append(x0)
+    return sorted(found, key=float)

@@ -187,6 +187,12 @@ class TestAtoms:
         assert abs(loc + 0.5) < 1e-14
         assert abs(weight - 0.75) < 1e-14
 
+    def test_no_atom_on_the_support_edge(self, capsys):
+        # the root -2/3 of (5/4) x^2 + (7/3) x + 1 is the support's lower
+        # edge, where the residue is exactly 0
+        assert main(["atoms", "--a", "7/3", "--b", "5/4"]) == 0
+        assert '"atoms": []' in capsys.readouterr().out
+
 
 class TestConvolvePower:
     def test_t_one_matches_moments(self, capsys):

@@ -1,9 +1,12 @@
 import cmath
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import GRID_POINTS, catalan
+from conftest import GRID_POINTS, catalan, exact_atom_locations, mp_atoms, mp_cauchy, mp_poles
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from freemeixner import (
@@ -34,6 +37,7 @@ from freemeixner import (
     support,
     gauss_rule,
 )
+from freemeixner.meixner import poles
 
 
 def law(a, b):
@@ -93,6 +97,20 @@ class TestCauchyTransform:
         z = 0.3 + 1.1j
         expect = (z - 1) / (z * z - z - 1)
         assert abs(cauchy_transform(p, z) - expect) < 1e-14
+
+    @pytest.mark.parametrize("a,b", GRID_POINTS + [(F(1), F(-1)), (F(-2), F(-1)), (F(5, 2), F(-1))])
+    def test_refuses_every_atom(self, a, b):
+        # the pole guard reads z - 2/(z - a + w), which vanishes at an atom
+        p = MeixnerParams(a, b)
+        for x0, _ in atoms(p):
+            with pytest.raises(DomainError, match="pole"):
+                cauchy_transform(p, x0)
+            for z in (x0 - 1e-6, x0 + 1e-6):
+                assert math.isfinite(abs(cauchy_transform(p, z)))
+
+    def test_centre_of_the_two_point_law(self):
+        # at b = -1 the support collapses to {a}, where G = (z-a)/(z^2 - a z - 1) = 0
+        assert cauchy_transform(MeixnerParams(F(1, 2), F(-1)), 0.5) == 0
 
     def test_nevanlinna_property(self):
         zs = [x + y * 1j for x in (-3.0, -1.0, 0.0, 1.5, 3.0) for y in (0.1, 1.0, 5.0)]
@@ -154,15 +172,25 @@ class TestAtoms:
         # the tiny q'(x0) blows up to about 1e-12
         assert atoms(MeixnerParams(-0.5044942835844612, 0.06362861054234971)) == []
 
+    @pytest.mark.parametrize("a,b", [
+        (F(7, 3), F(5, 4)), (F(-7, 3), F(5, 4)),  # root on a support edge
+        (1.0, 1e-12),  # b -> 0 with |a| = 1
+        (F(19999, 20000), F(0)),  # free Poisson just below |a| = 1
+        (F(0), F(-249997, 500000)),  # symmetric free binomial just above b = -1/2
+    ])
+    def test_no_atom_where_the_residue_vanishes(self, a, b):
+        assert atoms(MeixnerParams(a, b)) == []
+
     @pytest.mark.parametrize("a,b", GRID_POINTS)
     def test_grid_atoms_pinned(self, a, b):
         # the genuine atoms (free Poisson, free Pascal, free binomial,
-        # b = -1) keep these exact floats through the rounding-noise check
+        # b = -1) as exact floats; each is within 1.3e-16 relative of a
+        # 50-digit evaluation of the exact atom
         pinned = {
             (F(2), F(0)): [(-0.5, 0.75)],
-            (F(3), F(1)): [(-0.3819660112501051, 0.829179606750063)],
+            (F(3), F(1)): [(-0.38196601125010515, 0.8291796067500632)],
             (F(5, 2), F(1, 2)): [(-0.4384471871911697, 0.7873218748183352)],
-            (F(1), F(-1, 4)): [(-0.8284271247461903, 0.41421356237309526)],
+            (F(1), F(-1, 4)): [(-0.8284271247461902, 0.4142135623730951)],
             (F(0), F(-1)): [(-1.0, 0.5), (1.0, 0.5)],
         }
         assert atoms(MeixnerParams(a, b)) == pinned.get((a, b), [])
@@ -187,6 +215,110 @@ class TestAtoms:
             assert abs(mean) < 1e-14
             assert abs(var - 1) < 1e-13
             assert abs(mass - 1) < 1e-14
+
+
+class TestPoles:
+    def test_no_root_cancels(self):
+        # (-a + sqrt(a^2 - 4b)) / (2b) loses 5 digits to cancellation here
+        assert -1.000000000001 in poles(MeixnerParams(1.0, 1e-12))
+
+    def test_double_root_listed_twice(self):
+        assert poles(MeixnerParams(F(2), F(1))) == [-1.0, -1.0]
+
+
+# Laws for the 50-digit mpmath oracle: the six regions (GRID_POINTS); b -> -1;
+# a^2 = 4b +- eps; |a| -> 1 at b = 0, and b -> 0 at |a| = 1; atoms on or
+# next to a support edge; and |a|, b near 1e30, where the float path must
+# keep its squares finite.  Float inputs near a^2 = 4b are chosen so that
+# a^2 - 4b is exact in floats: that difference is rounded once, and near
+# the parabola its relative rounding error becomes the roots' error.
+ORACLE_LAWS = GRID_POINTS + [
+    (0.5, -1 + 1e-15), (0.5, -1 + 1e-9), (-2.0, -1 + 1e-3), (0.0, -1 + 2e-15), (1.0, -1.0),
+    (2.0, 1 + 1e-9), (2.0, 1 - 1e-9), (3.0, 2.25 + 1e-12), (3.0, 2.25 - 1e-12),
+    (1 + 1e-12, 0.0), (1 - 1e-12, 0.0), (-1 - 1e-9, 0.0), (1.0, 1e-12),
+    (F(7, 3), F(5, 4)), (F(-7, 3), F(5, 4)), (F(7, 3) + F(1, 10**9), F(5, 4)),
+    (F(19999, 20000), F(0)), (F(0), F(-249997, 500000)),
+    (3e30, 1e30), (-2e30, 9e29), (1e30, 1e30),
+]
+ORACLE_Z = [2j, 3 + 0.5j, -1.5 + 1e-3j, 0.25 - 2j, -40 + 1j]
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("a,b", ORACLE_LAWS)
+    def test_poles(self, a, b):
+        got = sorted(poles(MeixnerParams(a, b)))
+        ref = mp_poles(a, b)
+        assert len(got) == len(ref)
+        for x, r in zip(got, ref):
+            assert abs(x - r) <= 1e-15 * abs(r)
+
+    @pytest.mark.parametrize("a,b", ORACLE_LAWS)
+    def test_atoms(self, a, b):
+        got = atoms(MeixnerParams(a, b))
+        ref = mp_atoms(a, b)
+        assert len(got) == len(ref)
+        # weights are at most 1, so the bound is absolute: near |a| = 1 at
+        # b = 0 the weight a^2 - 1 moves by 1e-7 of itself per ulp of a
+        for (x, w), (rx, rw) in zip(got, ref):
+            assert abs(x - rx) <= 1e-15 * abs(rx)
+            assert abs(w - rw) <= 1e-15
+
+    @pytest.mark.parametrize("a,b", ORACLE_LAWS)
+    def test_cauchy_transform(self, a, b):
+        p = MeixnerParams(a, b)
+        for z in ORACLE_Z:
+            ref = mp_cauchy(a, b, z)
+            assert abs(cauchy_transform(p, z) - ref) <= 1e-11 * abs(ref)
+
+    def test_cauchy_transform_near_b_minus_one(self):
+        # half the points have 1 + b in [1e-15, 1e-1] and real z 1e-8..1e-1
+        # outside a support edge; closer in, one ulp of z moves G by more
+        # than 1e-11, so no float method meets the bound there
+        rng = random.Random(2004)
+        for i in range(2000):
+            if i % 2:
+                a, b = rng.uniform(-3, 3), -1 + 10 ** rng.uniform(-15, -1)
+                half = 2 * math.sqrt(1 + b)
+                z = complex(a + rng.choice((-1, 1)) * (half + 10 ** rng.uniform(-8, -1)))
+            else:
+                a, b = rng.uniform(-5, 5), rng.uniform(-1, 5)
+                z = complex(rng.uniform(-8, 8), rng.choice((-1, 1)) * 10 ** rng.uniform(-8, 1))
+            ref = mp_cauchy(a, b, z)
+            assert abs(cauchy_transform(MeixnerParams(a, b), z) - ref) <= 1e-11 * abs(ref)
+
+
+@st.composite
+def near_boundary_laws(draw):
+    """Rational (a, b) within 1e-3..1e-15 of a law where an atom meets a
+    support edge, of the free Gamma parabola a^2 = 4b, of the arcsine law
+    (0, -1/2) or of b = -1."""
+    kind = draw(st.sampled_from(["edge", "parabola", "arcsine", "two-point"]))
+    if kind == "edge":
+        # a^2 (1+b) = (1+2b)^2 at 1 + b = t^2; t = 1 is |a| = 1, b = 0
+        t = F(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+        a, b = draw(st.sampled_from([-1, 1])) * (2 * t * t - 1) / t, t * t - 1
+    elif kind == "parabola":
+        a = F(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
+        b = a * a / 4
+    elif kind == "arcsine":
+        a, b = F(0), F(-1, 2)
+    else:
+        a, b = F(draw(st.integers(-12, 12)), draw(st.integers(1, 6))), F(-1)
+    step = F(1, 10 ** draw(st.integers(3, 15)))
+    a += draw(st.integers(-2, 2)) * step
+    b = max(b + draw(st.integers(-2, 2)) * step, F(-1))
+    return a, b
+
+
+@given(near_boundary_laws())
+def test_atom_existence_is_exact(ab):
+    a, b = ab
+    got = atoms(MeixnerParams(a, b))
+    ref = exact_atom_locations(a, b)
+    assert len(got) == len(ref)
+    for (x, w), r in zip(got, ref):
+        assert abs(x - float(r)) <= 1e-15 * abs(float(r))
+        assert w > 0
 
 
 class TestRTransform:
