@@ -104,7 +104,12 @@ def _check_order(n, low=0):
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The CLI's parser; with ``only``, the root and that one subcommand.
+
+    That subcommand parses, helps and refuses as in the full parser, but the
+    root's own usage and errors then name it alone (see :func:`_parse_args`).
+    """
     parser = argparse.ArgumentParser(
         prog="freemeixner",
         description="Free Meixner laws: densities, exact cumulant calculus, "
@@ -114,12 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text, **flags):
+        """A subcommand with --format and ``flags``: flag=(type, default, help),
+        where a tuple of names as type makes a choice among them."""
+        if only is not None and name != only:
+            return
         cmd = sub.add_parser(name, help=help_text)
         cmd._negative_number_matcher = _NEGATIVE_VALUE
-        cmd.add_argument("--format", choices=("json", "csv"), default="json")
+        flags = {"format": (("json", "csv"), "json", None), **flags}
         for flag, (kind, default, text) in flags.items():
-            cmd.add_argument(f"--{flag}", type=kind, default=default, help=text)
-        return cmd
+            if isinstance(kind, tuple):
+                cmd.add_argument(f"--{flag}", choices=kind, default=default, help=text)
+            else:
+                cmd.add_argument(f"--{flag}", type=kind, default=default, help=text)
 
     scalars = {
         "a": (_scalar, Fraction(0), "first law parameter (rational p/q keeps exact mode)"),
@@ -139,18 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
         **scalars,
         n=(int, 16, f"truncation order, 0..{MAX_SEQUENCE_ORDER}"),
     )
-    cum = add(
+    add(
         "cumulants",
         "free cumulants R_1..R_N; --q switches to the q-deformed recursion",
         **scalars,
         n=(int, 16, f"truncation order, 2..{MAX_SEQUENCE_ORDER}"),
         q=(_scalar, None, "deformation parameter in (-1, 1]; omit for the free case"),
-    )
-    cum.add_argument(
-        "--method",
-        choices=("nc_le2", "semicircle", "from_moments"),
-        default="nc_le2",
-        help="which identity computes the cumulants (they all agree)",
+        method=(("nc_le2", "semicircle", "from_moments"), "nc_le2",
+                "which identity computes the cumulants (they all agree)"),
     )
     add("classify", "name the law's type and the inequalities that fired", **scalars)
     add("atoms", "point masses of the law", **scalars)
@@ -176,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         z=(_complex, complex(2.0, 1.0), "evaluation point, e.g. '0.05' or '3+0.5j'"),
         eps=(_float, None, "also report the smoothed density -(1/pi) Im G(Re z + i eps)"),
     )
-    ver = add(
+    add(
         "verify",
         "run identity suites; exit 0 iff everything passes",
         **scalars,
@@ -188,11 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         n=(int, None, f"max order, 1..{MAX_SEQUENCE_ORDER} (suite-specific default); "
                       "orthogonality checks degree min(n, 10)"),
         eps=(_float, 1e-9, "float-mode tolerance for the orthogonality suite"),
-    )
-    ver.add_argument(
-        "--suite",
-        choices=("regression", "recursion", "orthogonality", "levy", "all"),
-        default="all",
+        suite=(("regression", "recursion", "orthogonality", "levy", "all"), "all", None),
     )
     return parser
 
@@ -414,10 +417,20 @@ def _csv_text(v):
     return str(v)
 
 
+def _parse_args(argv):
+    """Parse with the root and argv[0]'s subcommand alone.  What names no
+    subcommand, and what the root refuses, goes to the full parser, whose
+    usage and error text list every subcommand."""
+    parser = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        build_parser().parse_args(argv)  # exits: unrecognized arguments
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     opts = {k: v for k, v in vars(args).items() if k not in ("command", "format")}

@@ -134,6 +134,30 @@ def density(p: MeixnerParams, x: float) -> float:
     return math.sqrt(max(rad, 0.0)) / (2.0 * math.pi * q)
 
 
+def _discriminant(p: MeixnerParams):
+    """d = a^2 - 4b in the parameters' own type, and sqrt(d) as a float, or
+    None when d < 0.
+
+    Where a^2 leaves the float range, sqrt(d) is |a| sqrt(1 - 4b/a^2), and a
+    float d, which reads inf or inf - inf there, becomes +-inf with the sign
+    of 1 - 4b/a^2.
+    """
+    a, b = p.a, p.b
+    d = a * a - 4 * b
+    if d < 0:
+        return d, None
+    try:
+        root = math.sqrt(float(d))
+    except OverflowError:  # an exact d beyond the float range
+        root = math.inf
+    if root < math.inf:
+        return d, root
+    s = 1 - 4 * (b / a) / a  # d / a^2
+    if type(d) is float:
+        d = math.copysign(math.inf, s)
+    return d, (abs(float(a)) * math.sqrt(s) if s >= 0 else None)
+
+
 def poles(p: MeixnerParams) -> list[float]:
     """Real roots of b x^2 + a x + 1, the zeros of the density's denominator;
     a double root (on the free Gamma parabola a^2 = 4b) is listed twice.
@@ -146,10 +170,10 @@ def poles(p: MeixnerParams) -> list[float]:
     b = float(p.b)
     if b == 0.0:
         return [] if a == 0.0 else [-1.0 / a]
-    d = p.a * p.a - 4 * p.b
-    if d < 0:
+    root = _discriminant(p)[1]
+    if root is None:
         return []
-    q = -0.5 * (a + math.copysign(math.sqrt(float(d)), a))
+    q = -0.5 * (a + math.copysign(root, a))
     return [1.0 / q, q / b]
 
 
@@ -172,20 +196,24 @@ def atoms(p: MeixnerParams) -> list[tuple[float, float]]:
     E is computed in the parameters' own type, so the decision is exact for
     rational (a, b).  With K = |a| + |1+2b| sqrt(d) the weights are
     2|E|/(sqrt(d) K), or K/(2|b| sqrt(d)) for 1/q when b <= -1/2; E enters
-    as E/d = 1/d - (1+b), so no term cancels or grows beyond a^2 - 4b.  A
-    double root (d = 0, E = 1) is never an atom, and an atom always lies
-    outside the open support.
+    as E/d = 1/d - (1+b), so no term cancels or grows beyond a^2 - 4b.
+    sqrt(d) and K enter divided by the power of two of sqrt(d), which moves
+    no bit of a weight and keeps them finite where a^2 leaves the float
+    range.  A double root (d = 0, E = 1) is never an atom, and an atom
+    always lies outside the open support.
     """
     a, b = p.a, p.b
-    c, d = 1 + 2 * b, a * a - 4 * b
+    c = 1 + 2 * b
+    d, r = _discriminant(p)
     if d <= 0:
         return []
-    e = 1 / d - (1 + b)  # E / d, with the sign of E
+    # E / d, with the sign of E; 1/d of an infinite float d is 1/r^2
+    e = (1 / d if d < math.inf else 1 / r / r) - (1 + b)
     x = poles(p)
     found = []
     if e < 0 or c < 0:
-        r = math.sqrt(float(d))
-        k = abs(float(a)) + abs(float(c)) * r
+        r, power = math.frexp(r)
+        k = math.ldexp(abs(float(a)), -power) + abs(float(c)) * r
         w = -2.0 * float(e) * r / k if c > 0 else k / (2.0 * abs(float(b)) * r)
         found.append((x[0], w))
         if c < 0 < e:

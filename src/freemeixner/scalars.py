@@ -18,6 +18,7 @@ rational coefficient as numerator and denominator takes it from
 
 The package's values (law parameters, moment and cumulant sequences,
 reports) are immutable and compare by their fields: see :class:`Frozen`.
+Making one of their classes compiles no source.
 """
 
 from __future__ import annotations
@@ -26,20 +27,9 @@ import math
 from fractions import Fraction
 from itertools import accumulate, repeat
 from numbers import Integral, Rational
-from operator import mul
+from operator import attrgetter, mul
 
 Scalar = Fraction | float
-
-# == and hash of a Frozen subclass, compiled for its fields as dataclasses
-# would, so they build the field tuples inline.
-_COMPARISONS = """
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({mine},) == ({theirs},)
-    return NotImplemented
-def __hash__(self):
-    return hash(({mine},))
-"""
 
 
 class Frozen:
@@ -51,18 +41,28 @@ class Frozen:
     equal fields) and a hash by field, the ``Name(field=value, ...)`` repr,
     ``__match_args__``, and pickling and copying through the constructor.
     Assigning or deleting an attribute raises ``AttributeError``.
+
+    ``__eq__`` and ``__hash__`` read the fields through one
+    ``operator.attrgetter`` per class, held in their closure: a lookup of
+    the getter on the class would cost each comparison more than the getter.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        fields = cls.__slots__
-        cls.__match_args__ = fields
-        code = {}
-        exec(_COMPARISONS.format(mine=",".join(f"self.{f}" for f in fields),
-                                 theirs=",".join(f"other.{f}" for f in fields)), code)
-        cls.__eq__ = code["__eq__"]
-        cls.__hash__ = code["__hash__"]
+        cls.__match_args__ = cls.__slots__
+        key = attrgetter(*cls.__slots__)  # the field, or the tuple of fields
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -374,8 +374,12 @@ def _mp(x):
 
 def mp_poles(a, b):
     """Reference for ``meixner.poles`` at 120 digits, ascending: the textbook
-    roots (-a -+ sqrt(a^2 - 4b)) / (2b), or -1/a at b = 0."""
-    with mpmath.workdps(120):
+    roots (-a -+ sqrt(a^2 - 4b)) / (2b), or -1/a at b = 0.
+
+    The smaller root loses about log10(a^2 / |4b|) digits to cancellation,
+    so the working precision grows by that many digits."""
+    lost = 0 if a == 0 or b == 0 else 2 * math.log10(abs(a)) - math.log10(abs(4 * b))
+    with mpmath.workdps(120 + max(0, math.ceil(lost))):
         a, b = _mp(a), _mp(b)
         if b == 0:
             return [] if a == 0 else [-1 / a]

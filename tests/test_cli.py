@@ -193,6 +193,15 @@ class TestAtoms:
         assert main(["atoms", "--a", "7/3", "--b", "5/4"]) == 0
         assert '"atoms": []' in capsys.readouterr().out
 
+    @pytest.mark.parametrize("a", ["1" + "0" * 155, "1e155"], ids=["exact", "float"])
+    def test_a_squared_beyond_the_float_range(self, capsys, a):
+        # a^2 - 4b overflows a float; the one atom sits near -1/a
+        code, payload = run_json(capsys, "atoms", "--a", a, "--b", "1")
+        assert code == 0
+        [[loc, weight]] = payload["data"]["atoms"]
+        assert abs(loc + 1e-155) <= 1e-15 * 1e-155
+        assert abs(weight - 1.0) <= 1e-15
+
 
 class TestConvolvePower:
     def test_t_one_matches_moments(self, capsys):

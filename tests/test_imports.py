@@ -5,7 +5,10 @@ One fresh interpreter imports the package, runs every CLI subcommand
 in-process (the float-layer ones included) and the float-layer entry
 points, and reports whether numpy or scipy ever loaded.  One fresh
 interpreter per subcommand reports which of the lazy layers (``verify``,
-``numerics``, ``ncpart``) and of ``dataclasses``/``inspect`` it loaded.
+``numerics``, ``ncpart``) and of ``dataclasses``/``inspect`` it loaded, and
+one ``python -m freemeixner.cli`` per subcommand loads no module outside the
+package that a bare interpreter importing the CLI's standard library does
+not.  No module compiles source at run time.
 The installed metadata declares no runtime dependency.
 """
 
@@ -161,6 +164,45 @@ def test_no_module_imports_dataclasses_or_inspect():
                 continue
             tops = {name.split(".")[0] for name in names}
             assert not tops & {"dataclasses", "inspect"}, f"{path.name}:{node.lineno}"
+
+
+def test_no_module_compiles_source():
+    """No module names ``exec``, ``eval`` or ``compile``: source built at run
+    time is compiled afresh on every cold CLI call."""
+    for path in sorted((SRC / "freemeixner").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                assert node.id not in {"exec", "eval", "compile"}, f"{path.name}:{node.lineno}"
+
+
+# Modules outside the package that a cold CLI call may load beyond those of a
+# bare interpreter that imports the CLI's standard library and builds one
+# parser: what ``python -m`` itself loads, and the package's
+# ``from __future__ import annotations``.
+PINNED = {"__future__", "importlib.machinery", "runpy"}
+
+
+def imported_modules(*args):
+    """The modules ``python -X importtime <args>`` imports, from its report."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and not line.endswith("| imported package")}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    return imported_modules(
+        "-c", "import argparse, cmath, fractions, json; argparse.ArgumentParser()")
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(c) for c in COMMANDS])
+def test_cold_command_loads_no_new_module(argv, bare_modules):
+    loaded = imported_modules("-m", "freemeixner.cli", *argv)
+    assert "freemeixner.meixner" in loaded  # the CLI runs as __main__
+    outside = {m for m in loaded if m.split(".")[0] != "freemeixner"}
+    assert outside - bare_modules - PINNED == set()
 
 
 @pytest.fixture(scope="module")

@@ -241,10 +241,14 @@ ORACLE_LAWS = GRID_POINTS + [
     (3e30, 1e30), (-2e30, 9e29), (1e30, 1e30),
 ]
 ORACLE_Z = [2j, 3 + 0.5j, -1.5 + 1e-3j, 0.25 - 2j, -40 + 1j]
+# Laws where a^2 - 4b, or (1+2b) sqrt(a^2 - 4b), leaves the float range;
+# a = 10^155 is exact, and its a^2 - 4b has no float.
+BEYOND_FLOAT_LAWS = [(1e155, 1.0), (-1e155, 1.0), (1e200, 1e200), (F(10**155), F(1)),
+                     (-1e145, 1e175)]
 
 
 class TestAgainstMpmath:
-    @pytest.mark.parametrize("a,b", ORACLE_LAWS)
+    @pytest.mark.parametrize("a,b", ORACLE_LAWS + BEYOND_FLOAT_LAWS)
     def test_poles(self, a, b):
         got = sorted(poles(MeixnerParams(a, b)))
         ref = mp_poles(a, b)
@@ -252,7 +256,7 @@ class TestAgainstMpmath:
         for x, r in zip(got, ref):
             assert abs(x - r) <= 1e-15 * abs(r)
 
-    @pytest.mark.parametrize("a,b", ORACLE_LAWS)
+    @pytest.mark.parametrize("a,b", ORACLE_LAWS + BEYOND_FLOAT_LAWS)
     def test_atoms(self, a, b):
         got = atoms(MeixnerParams(a, b))
         ref = mp_atoms(a, b)

@@ -140,6 +140,40 @@ def test_one_field_changes_equality():
     assert RegressionReport("x", (1,), (0,), (True,)) != RegressionReport("x", (1,), (0,), (False,))
 
 
+def test_equal_instances_hash_equal():
+    # equal fields of different types: Fraction(1, 2) == 0.5, and 2 == Fraction(2)
+    pairs = [
+        (MeixnerParams(F(5, 2), F(1, 2)), MeixnerParams(2.5, 0.5)),
+        (MomentSequence([1, F(1, 2)]), MomentSequence([1, 0.5])),
+        (RegressionReport("x", (1,), (F(0),), (True,), F(2)),
+         RegressionReport("x", (1,), (0.0,), (1,), 2)),
+    ]
+    for one, two in pairs:
+        assert one == two and hash(one) == hash(two)
+
+
+@pytest.mark.parametrize("cls, arguments", [
+    (MomentSequence, [([1, 0, 1],), ([1, 0, 2],), ([1, 0],)]),
+    (RegressionReport, [("x", (1,), (0,), (True,), None), ("y", (1,), (0,), (True,), None),
+                        ("x", (2,), (0,), (True,), None), ("x", (1,), (1,), (True,), None),
+                        ("x", (1,), (0,), (False,), None), ("x", (1,), (0,), (True,), F(1))]),
+], ids=["one-field", "five-fields"])
+def test_compare_by_every_field(cls, arguments):
+    objs = [cls(*args) for args in arguments]
+    for i, one in enumerate(objs):
+        assert one == cls(*arguments[i])
+        assert [one == other for other in objs] == [j == i for j in range(len(objs))]
+
+
+def test_another_class_is_not_implemented():
+    for one, other in [(MeixnerParams(1, 1), LevyParams(1, 1)),
+                       (MomentSequence([1, 0]), CumulantSequence([1, 0])),
+                       (RegressionReport("x", (1,), (0,), (True,)),
+                        ("x", (1,), (0,), (True,), None)),
+                       (MeixnerParams(1, 1), object())]:
+        assert one.__eq__(other) is NotImplemented
+
+
 def test_regression_report_constant_defaults_to_none():
     rep = RegressionReport("x", (1, 2), (F(0), 0.0), (True, False))
     assert rep.constant is None
